@@ -89,8 +89,8 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	observer := core.WithObserver(func(ph core.Phase, detail string) {
-		fmt.Fprintf(os.Stderr, "[%s] %s\n", ph, detail)
+	observer := core.WithEventObserver(func(e core.Event) {
+		fmt.Fprintf(os.Stderr, "[%s] %s\n", e.Phase, e.Detail)
 	})
 
 	if *pprofAddr != "" {
@@ -137,7 +137,7 @@ func main() {
 }
 
 // wireCodecTelemetry attaches the transport's codec counters
-// (proto/encode_total{version=...}, proto/bytes_out, proto/bytes_in)
+// (proto/encode_total{version=3}, proto/bytes_out, proto/bytes_in)
 // to reg. Both transport implementations expose the hook; the
 // interface assertion keeps main agnostic of which one the platform
 // carries.
@@ -616,7 +616,7 @@ func reportSim(net *simnet.Network, duration time.Duration) {
 
 // gatewayEstimator locates the deployment's query gateway through the
 // directory and builds an estimator querying through it — each pair's
-// latency and bandwidth series travel in one batched V2 round-trip.
+// latency and bandwidth series travel in one batched round-trip.
 // Deployments without a gateway (plans predating the query plane) fall
 // back to the direct query-plane client.
 func gatewayEstimator(st proto.Port, dep *deploy.Deployment) *deploy.Estimator {

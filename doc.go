@@ -10,16 +10,17 @@
 // The entry point for the paper's pipeline is internal/core.Pipeline:
 // a staged Map → Plan → Apply API over the platform abstraction of
 // internal/platform, so the same code path drives the simulated testbed
-// (SimPlatform) and real loopback TCP sockets (TCPPlatform);
-// core.AutoDeploy remains as a one-call wrapper over the simulator.
-// Above the pipeline, internal/reconcile runs §4.3's "possible platform
+// (SimPlatform) and real loopback TCP sockets (TCPPlatform), and
+// progress reaches observers as structured events. Every peer speaks
+// one wire format, the compact binary codec of internal/nws/proto, and
+// every reader shares one plan representation (internal/deploy). Above the pipeline, internal/reconcile runs §4.3's "possible platform
 // evolution" as a self-healing control plane: it watches a live
 // deployment, detects drift (dead sensors, partitioned or degraded
 // links, churning machines) by probing liveness and re-running ENV,
 // re-plans, and applies only the delta, with deterministic seeded fault
 // scenarios in internal/simnet and recovery metrics in internal/metrics
 // making every repair claim assertable. Client traffic enters through
-// the versioned query plane: internal/query is the batching, caching
+// the query plane: internal/query is the batching, caching
 // client facade over the NWS services, and internal/nws/gateway the
 // deployable Query Gateway role fronting it for end users (planned,
 // applied and re-homed like the name server). The benchmark harness in

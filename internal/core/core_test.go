@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -10,25 +11,43 @@ import (
 	"nwsenv/internal/gridml"
 	"nwsenv/internal/nws/predict"
 	"nwsenv/internal/nws/proto"
+	"nwsenv/internal/platform"
 	"nwsenv/internal/simnet"
 	"nwsenv/internal/topo"
 	"nwsenv/internal/vclock"
 )
+
+// simDeploy runs the whole pipeline (Map, Plan and, unless
+// WithPlanOnly is among opts, Apply) on the simulated platform. It
+// must be called from a simulation process.
+func simDeploy(net *simnet.Network, runs []MapRun, opts ...Option) (*Outcome, error) {
+	pl := NewPipeline(platform.NewSimPlatform(net, proto.NewSimTransport(net)), opts...)
+	return pl.Deploy(context.Background(), runs...)
+}
+
+// ensLyonRuns is the paper's two-run mapping of the testbed, one run
+// per firewall side.
+func ensLyonRuns(e *topo.EnsLyon) []MapRun {
+	return []MapRun{
+		{Master: e.OutsideMaster, Hosts: e.OutsideHosts, Names: e.OutsideNames},
+		{Master: e.InsideMaster, Hosts: e.InsideHosts, Names: e.InsideNames},
+	}
+}
 
 func ensLyonAutoDeploy(t *testing.T, planOnly bool) (*topo.EnsLyon, *simnet.Network, *Outcome) {
 	t.Helper()
 	e := topo.NewEnsLyon()
 	sim := vclock.New()
 	net := simnet.NewNetwork(sim, e.Topo)
-	tr := proto.NewSimTransport(net)
-	opts := EnsLyonOptions(e.OutsideMaster, e.OutsideHosts, e.OutsideNames,
-		e.InsideMaster, e.InsideHosts, e.InsideNames, e.GatewayAliases)
-	opts.PlanOnly = planOnly
-	opts.HostSensorPeriod = 30 * time.Second
+	opts := []Option{WithAliases(e.GatewayAliases...), WithTokenGap(time.Second),
+		WithHostSensors(30 * time.Second)}
+	if planOnly {
+		opts = append(opts, WithPlanOnly())
+	}
 	var out *Outcome
 	var err error
 	sim.Go("autodeploy", func() {
-		out, err = AutoDeploy(net, tr, opts)
+		out, err = simDeploy(net, ensLyonRuns(e), opts...)
 	})
 	// The mapping itself takes ~1 virtual minute; a 30-minute budget
 	// keeps the always-on host sensors from burning real test time.
@@ -97,7 +116,6 @@ func TestAutoDeploySingleRun(t *testing.T) {
 	tp, truth := topo.RandomLAN(11, 3, 3)
 	sim := vclock.New()
 	net := simnet.NewNetwork(sim, tp)
-	tr := proto.NewSimTransport(net)
 	var hosts []string
 	for _, h := range tp.HostIDs() {
 		if h != "world" {
@@ -107,10 +125,7 @@ func TestAutoDeploySingleRun(t *testing.T) {
 	var out *Outcome
 	var err error
 	sim.Go("auto", func() {
-		out, err = AutoDeploy(net, tr, Options{
-			Runs:     []MapRun{{Master: hosts[0], Hosts: hosts}},
-			PlanOnly: true,
-		})
+		out, err = simDeploy(net, []MapRun{{Master: hosts[0], Hosts: hosts}}, WithPlanOnly())
 	})
 	if e := sim.RunUntil(24 * time.Hour); e != nil {
 		t.Fatal(e)
@@ -150,9 +165,8 @@ func TestAutoDeployNoRuns(t *testing.T) {
 	e := topo.NewEnsLyon()
 	sim := vclock.New()
 	net := simnet.NewNetwork(sim, e.Topo)
-	tr := proto.NewSimTransport(net)
 	var err error
-	sim.Go("auto", func() { _, err = AutoDeploy(net, tr, Options{}) })
+	sim.Go("auto", func() { _, err = simDeploy(net, nil) })
 	if er := sim.RunUntil(time.Minute); er != nil {
 		t.Fatal(er)
 	}
@@ -204,7 +218,6 @@ func TestAutoDeployScales(t *testing.T) {
 	tp, truth := topo.RandomLAN(99, 10, 6)
 	sim := vclock.New()
 	net := simnet.NewNetwork(sim, tp)
-	tr := proto.NewSimTransport(net)
 	var hosts []string
 	for _, h := range tp.HostIDs() {
 		if h != "world" {
@@ -214,10 +227,7 @@ func TestAutoDeployScales(t *testing.T) {
 	var out *Outcome
 	var err error
 	sim.Go("auto", func() {
-		out, err = AutoDeploy(net, tr, Options{
-			Runs:     []MapRun{{Master: hosts[0], Hosts: hosts}},
-			TokenGap: 2 * time.Second,
-		})
+		out, err = simDeploy(net, []MapRun{{Master: hosts[0], Hosts: hosts}}, WithTokenGap(2*time.Second))
 	})
 	if e := sim.RunUntil(3 * time.Hour); e != nil {
 		t.Fatal(e)
@@ -287,24 +297,17 @@ func TestAutoDeployThreeRunsFold(t *testing.T) {
 	e := topo.NewEnsLyon()
 	sim := vclock.New()
 	net := simnet.NewNetwork(sim, e.Topo)
-	tr := proto.NewSimTransport(net)
 	sciNames := map[string]string{}
 	sciHosts := []string{"sci0", "sci1", "sci2", "sci3", "sci4", "sci5", "sci6"}
 	for _, h := range sciHosts {
 		sciNames[h] = e.InsideNames[h]
 	}
-	opts := Options{
-		Runs: []MapRun{
-			{Master: e.OutsideMaster, Hosts: e.OutsideHosts, Names: e.OutsideNames},
-			{Master: e.InsideMaster, Hosts: e.InsideHosts, Names: e.InsideNames},
-			{Master: "sci0", Hosts: sciHosts, Names: sciNames},
-		},
-		Aliases:  e.GatewayAliases,
-		PlanOnly: true,
-	}
+	runs := append(ensLyonRuns(e), MapRun{Master: "sci0", Hosts: sciHosts, Names: sciNames})
 	var out *Outcome
 	var err error
-	sim.Go("auto", func() { out, err = AutoDeploy(net, tr, opts) })
+	sim.Go("auto", func() {
+		out, err = simDeploy(net, runs, WithAliases(e.GatewayAliases...), WithPlanOnly())
+	})
 	if er := sim.RunUntil(2 * time.Hour); er != nil {
 		t.Fatal(er)
 	}

@@ -24,11 +24,6 @@ const (
 	PhaseReconcile Phase = "reconcile"
 )
 
-// ProgressFunc observes phase transitions and per-phase progress; detail
-// is a human-readable line. CLIs use it to report what the pipeline is
-// doing.
-type ProgressFunc func(phase Phase, detail string)
-
 // Field is one structured event attribute; fields are an ordered list
 // so renderings stay deterministic.
 type Field struct {
@@ -43,10 +38,8 @@ func F(key string, value interface{}) Field {
 
 // Event is one structured pipeline progress event. Name identifies the
 // step machine-readably ("env_run", "planned", "agents_starting", ...);
-// Fields carry the values the old printf observer interpolated; Detail
-// is the legacy human-readable line, rendered exactly as the printf
-// observer used to produce it, so ProgressFunc observers see unchanged
-// output.
+// Fields carry its values; Detail is the human-readable line CLIs
+// print.
 type Event struct {
 	Phase  Phase
 	Name   string
@@ -54,7 +47,7 @@ type Event struct {
 	Detail string
 }
 
-// String renders the legacy progress line.
+// String renders the human-readable progress line.
 func (e Event) String() string { return e.Detail }
 
 // EventFunc observes structured pipeline events.
@@ -72,7 +65,6 @@ type config struct {
 	pairwiseSwitched bool
 	planOnly         bool
 	autoAliases      bool
-	observer         ProgressFunc
 	events           EventFunc
 	tele             *telemetry.Registry
 }
@@ -156,14 +148,9 @@ func WithPlanOnly() Option {
 	return func(c *config) { c.planOnly = true }
 }
 
-// WithObserver registers a progress hook for phase transitions.
-func WithObserver(fn ProgressFunc) Option {
-	return func(c *config) { c.observer = fn }
-}
-
-// WithEventObserver registers a structured-event hook. Every progress
-// report flows through it with a machine-readable name and fields; the
-// legacy ProgressFunc (if also set) receives the rendered Detail line.
+// WithEventObserver registers the progress observer. Every progress
+// report flows through it as a structured Event: a machine-readable
+// name and fields plus the rendered Detail line.
 func WithEventObserver(fn EventFunc) Option {
 	return func(c *config) { c.events = fn }
 }

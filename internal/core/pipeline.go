@@ -37,19 +37,11 @@ func (p *Pipeline) Platform() platform.Platform { return p.plat }
 // plane — instrument themselves against the same registry.
 func (p *Pipeline) Telemetry() *telemetry.Registry { return p.cfg.tele }
 
-// emit is the single reporting path: it builds a structured Event,
-// hands it to the event observer, renders the legacy line for the
-// ProgressFunc observer, and counts it on the registry.
+// emit is the single reporting path: it hands a structured Event to
+// the observer and counts it on the registry.
 func (p *Pipeline) emit(phase Phase, name string, fields []Field, format string, args ...interface{}) {
-	if p.cfg.observer == nil && p.cfg.events == nil && p.cfg.tele == nil {
-		return
-	}
-	detail := fmt.Sprintf(format, args...)
 	if p.cfg.events != nil {
-		p.cfg.events(Event{Phase: phase, Name: name, Fields: fields, Detail: detail})
-	}
-	if p.cfg.observer != nil {
-		p.cfg.observer(phase, detail)
+		p.cfg.events(Event{Phase: phase, Name: name, Fields: fields, Detail: fmt.Sprintf(format, args...)})
 	}
 	p.cfg.tele.Counter("pipeline", "events", map[string]string{"phase": string(phase)}).Inc()
 }

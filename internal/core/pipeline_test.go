@@ -19,7 +19,7 @@ import (
 // TCP sockets (mirroring internal/nws/tcp_integration_test.go, but
 // through the platform abstraction): Map reads the static segment view,
 // Plan validates it, Apply starts real agents whose registry, storage
-// and token-ring traffic are gob-encoded TCP exchanges, and measured
+// and token-ring traffic are framed binary TCP exchanges, and measured
 // samples land in the memory server.
 func TestTCPPlatformPipeline(t *testing.T) {
 	hosts := []string{"alpha", "beta", "gamma"}
@@ -176,9 +176,9 @@ func TestPipelineObserver(t *testing.T) {
 
 	var phases []Phase
 	pl := NewPipeline(platform.NewSimPlatform(net, tr),
-		WithObserver(func(ph Phase, detail string) {
-			if len(phases) == 0 || phases[len(phases)-1] != ph {
-				phases = append(phases, ph)
+		WithEventObserver(func(e Event) {
+			if len(phases) == 0 || phases[len(phases)-1] != e.Phase {
+				phases = append(phases, e.Phase)
 			}
 		}))
 	var hosts []string

@@ -22,14 +22,6 @@ func DecodeConfig(data []byte) (*Plan, error) {
 	if p.MemoryOf == nil {
 		p.MemoryOf = map[string]string{}
 	}
-	// Normalize the gateway fields across config vintages: a replicated
-	// plan keeps Gateway = primary for old readers; a legacy singleton
-	// config hydrates the replica set so new code sees one shape.
-	if len(p.Gateways) > 0 {
-		p.Gateway = p.Gateways[0]
-	} else if p.Gateway != "" {
-		p.Gateways = []string{p.Gateway}
-	}
 	return &p, nil
 }
 
@@ -40,8 +32,8 @@ func (p *Plan) Summary() string {
 	fmt.Fprintf(&b, "deployment %s (master %s)\n", p.Label, p.Master)
 	fmt.Fprintf(&b, "  name server : %s\n", p.NameServer)
 	fmt.Fprintf(&b, "  forecaster  : %s\n", p.Forecaster)
-	if gs := p.GatewaySet(); len(gs) > 0 {
-		fmt.Fprintf(&b, "  gateway     : %s\n", strings.Join(gs, ", "))
+	if len(p.Gateways) > 0 {
+		fmt.Fprintf(&b, "  gateway     : %s\n", strings.Join(p.Gateways, ", "))
 	}
 	fmt.Fprintf(&b, "  memory      : %s\n", strings.Join(p.MemoryServers, ", "))
 	for _, c := range p.Cliques {

@@ -17,15 +17,12 @@ func TestPlanGatewayReplicaPlacement(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	gws := p.GatewaySet()
+	gws := p.Gateways
 	if len(gws) != 3 {
-		t.Fatalf("GatewaySet() = %v, want 3 replicas", gws)
+		t.Fatalf("Gateways = %v, want 3 replicas", gws)
 	}
 	if gws[0] != master {
 		t.Fatalf("primary gateway %q, want the master %q", gws[0], master)
-	}
-	if p.Gateway != master {
-		t.Fatalf("legacy Gateway = %q, want the primary %q", p.Gateway, master)
 	}
 	seen := map[string]bool{}
 	for _, g := range gws {
@@ -79,9 +76,7 @@ func TestPlanGatewayReplicaPlacement(t *testing.T) {
 		}
 	}
 
-	// The replica set survives the config round-trip, and a plan encoded
-	// before horizontal scaling (singleton Gateway only) still decodes to
-	// a usable singleton set.
+	// The replica set survives the config round-trip.
 	data, err := EncodeConfig(p)
 	if err != nil {
 		t.Fatal(err)
@@ -90,15 +85,8 @@ func TestPlanGatewayReplicaPlacement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := rt.GatewaySet(); strings.Join(got, ",") != strings.Join(gws, ",") {
-		t.Fatalf("round-trip GatewaySet() = %v, want %v", got, gws)
-	}
-	legacy, err := DecodeConfig([]byte(`{"label":"old","master":"m","gateway":"m","hosts":["m"],"memoryOf":{}}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := legacy.GatewaySet(); len(got) != 1 || got[0] != "m" {
-		t.Fatalf("legacy plan GatewaySet() = %v, want [m]", got)
+	if got := rt.Gateways; strings.Join(got, ",") != strings.Join(gws, ",") {
+		t.Fatalf("round-trip Gateways = %v, want %v", got, gws)
 	}
 }
 
@@ -124,7 +112,7 @@ func TestDiffPlansGatewayReplicaSet(t *testing.T) {
 			move = m
 		}
 	}
-	want := "gateways: [" + master + "] -> [" + strings.Join(replicated.GatewaySet(), ",") + "]"
+	want := "gateways: [" + master + "] -> [" + strings.Join(replicated.Gateways, ",") + "]"
 	if move != want {
 		t.Fatalf("gateway move %q, want %q", move, want)
 	}

@@ -15,7 +15,7 @@ import (
 // flow of §2.1: the client asks the forecaster (1), the forecaster asks
 // the name server which memory server holds the series (2), fetches its
 // history (3), and replies with the battery's prediction (4). Batch
-// requests (V2) answer many series in one round-trip.
+// requests answer many series in one round-trip.
 //
 // Steps 2 and 3 go through an embedded query.Client — the same unified
 // resolution plane every other consumer of the deployment uses — so the
@@ -133,7 +133,7 @@ func (s *Server) handleForecast(req proto.Message) {
 	})
 }
 
-// handleBatchForecast answers a V2 batch: one FetchMany through the
+// handleBatchForecast answers a batch: one FetchMany through the
 // query plane resolves every series (bulk directory discovery on a cold
 // cache, a directory outage failing the unresolved remainder at once)
 // and groups the history fetches into one batched round-trip per owning
@@ -141,14 +141,6 @@ func (s *Server) handleForecast(req proto.Message) {
 // insufficient history) are inline in the results; only a
 // protocol-level problem fails the whole batch.
 func (s *Server) handleBatchForecast(req proto.Message) {
-	if req.Version > proto.V3 {
-		s.st.ReplyError(req, "forecaster: unsupported protocol version %d (max %d)", req.Version, proto.V3)
-		return
-	}
-	ver := req.Version
-	if ver < proto.V2 {
-		ver = proto.V2
-	}
 	fetches := make([]proto.SeriesRequest, len(req.Queries))
 	for i, q := range req.Queries {
 		fetches[i] = proto.SeriesRequest{Series: q.Series, Count: s.boundedCount(q.Count)}
@@ -173,7 +165,7 @@ func (s *Server) handleBatchForecast(req proto.Message) {
 			results[i].Code = proto.CodeDegraded
 		}
 	}
-	s.st.Reply(req, proto.Message{Type: proto.MsgBatchForecastReply, Version: ver, Forecasts: results})
+	s.st.Reply(req, proto.Message{Type: proto.MsgBatchForecastReply, Forecasts: results})
 }
 
 // Client requests forecasts from a forecaster server.
@@ -190,18 +182,18 @@ func NewClient(st proto.Port, host string) *Client {
 
 // Forecast asks for the next value of series, optionally bounding the
 // history length used.
-func (c *Client) Forecast(series string, history int) (Prediction, error) {
+func (c *Client) Forecast(series string, history int) (predict.Prediction, error) {
 	reply, err := c.St.Call(c.Host, proto.Message{Type: proto.MsgForecast, Series: series, Count: history}, c.Timeout)
 	if err != nil {
-		return Prediction{}, err
+		return predict.Prediction{}, err
 	}
-	return Prediction{Value: reply.Value, MAE: reply.MAE, MSE: reply.MSE, Method: reply.Method, N: reply.Count}, nil
+	return predict.Prediction{Value: reply.Value, MAE: reply.MAE, MSE: reply.MSE, Method: reply.Method, N: reply.Count}, nil
 }
 
 // BatchForecast asks for many series in one round-trip. Results keep
 // the request order; per-series failures are inline.
 func (c *Client) BatchForecast(reqs []proto.SeriesRequest) ([]proto.ForecastResult, error) {
-	reply, err := c.St.Call(c.Host, proto.Message{Type: proto.MsgBatchForecast, Version: proto.V3, Queries: reqs}, c.Timeout)
+	reply, err := c.St.Call(c.Host, proto.Message{Type: proto.MsgBatchForecast, Queries: reqs}, c.Timeout)
 	if err != nil {
 		return nil, err
 	}

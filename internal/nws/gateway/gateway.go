@@ -1,6 +1,6 @@
 // Package gateway implements the NWS Query Gateway: a deployable role
-// that fronts the versioned query plane for end users. Clients talk to
-// one well-known address with the V2 batch vocabulary; the gateway
+// that fronts the query plane for end users. Clients talk to
+// one well-known address with the batch vocabulary; the gateway
 // resolves, batches and fans out across the memory servers and
 // forecasters behind it through an embedded query.Client, so its
 // discovery cache, lookup singleflight and forecast cache are shared by
@@ -137,7 +137,7 @@ func (s *Server) Run() {
 				// even when the gateway is saturated — and count it apart
 				// from real traffic.
 				s.probes.Inc()
-				s.st.Reply(req, proto.Message{Type: queryReplyType(req.Type), Version: replyVersion(req.Version)})
+				s.st.Reply(req, proto.Message{Type: queryReplyType(req.Type)})
 				continue
 			}
 			if req.Type == proto.MsgQueryFetch {
@@ -174,7 +174,6 @@ func (s *Server) admit(req proto.Message, name string, handle func(proto.Message
 		s.shedTotal.Inc()
 		s.st.Reply(req, proto.Message{
 			Type:       queryReplyType(req.Type),
-			Version:    replyVersion(req.Version),
 			Error:      fmt.Sprintf("gateway %s overloaded: %d requests waiting", s.st.Host(), s.waiting.Load()),
 			Code:       proto.CodeOverloaded,
 			RetryAfter: overloadRetryAfter,
@@ -217,10 +216,6 @@ func (s *Server) handleFetch(req proto.Message) {
 			telemetry.Attr{Key: "queries", Value: fmt.Sprint(len(req.Queries))})
 		defer sp.End()
 	}
-	if req.Version > proto.V3 {
-		s.st.ReplyError(req, "gateway: unsupported protocol version %d (max %d)", req.Version, proto.V3)
-		return
-	}
 	res := s.qc.FetchMany(req.Queries)
 	out := make([]proto.SeriesResult, len(res))
 	for i, r := range res {
@@ -236,7 +231,7 @@ func (s *Server) handleFetch(req proto.Message) {
 			}
 		}
 	}
-	s.st.Reply(req, proto.Message{Type: proto.MsgQueryFetchReply, Version: replyVersion(req.Version), Results: out})
+	s.st.Reply(req, proto.Message{Type: proto.MsgQueryFetchReply, Results: out})
 }
 
 func (s *Server) handleForecast(req proto.Message) {
@@ -244,10 +239,6 @@ func (s *Server) handleForecast(req proto.Message) {
 		sp := s.tele.StartSpan("gateway", "forecast",
 			telemetry.Attr{Key: "queries", Value: fmt.Sprint(len(req.Queries))})
 		defer sp.End()
-	}
-	if req.Version > proto.V3 {
-		s.st.ReplyError(req, "gateway: unsupported protocol version %d (max %d)", req.Version, proto.V3)
-		return
 	}
 	res := s.qc.ForecastMany(req.Queries)
 	out := make([]proto.ForecastResult, len(res))
@@ -268,19 +259,7 @@ func (s *Server) handleForecast(req proto.Message) {
 			}
 		}
 	}
-	s.st.Reply(req, proto.Message{Type: proto.MsgQueryForecastReply, Version: replyVersion(req.Version), Forecasts: out})
-}
-
-// replyVersion echoes a request's version so each caller gets replies
-// priced (and encoded) at its own wire version, clamped to [V2, V3].
-func replyVersion(v int) int {
-	if v < proto.V2 {
-		return proto.V2
-	}
-	if v > proto.V3 {
-		return proto.V3
-	}
-	return v
+	s.st.Reply(req, proto.Message{Type: proto.MsgQueryForecastReply, Forecasts: out})
 }
 
 // Client is an end user's handle on a deployment's query gateways. It
@@ -400,7 +379,7 @@ const discoverProbeTimeout = 5 * time.Second
 // role, with an empty batch the server answers outside admission
 // control (liveness stays observable under saturation).
 func probe(st proto.Port, host string) bool {
-	_, err := st.Call(host, proto.Message{Type: proto.MsgQueryFetch, Version: proto.V3}, discoverProbeTimeout)
+	_, err := st.Call(host, proto.Message{Type: proto.MsgQueryFetch}, discoverProbeTimeout)
 	return err == nil
 }
 
@@ -467,7 +446,7 @@ func Connect(st proto.Port, nsHost string) (*Client, error) {
 // the query plane's structured errors (errors.Is ErrSeriesUnknown /
 // ErrBackendDown works across the wire).
 func (c *Client) FetchMany(reqs []proto.SeriesRequest) ([]query.Result, error) {
-	reply, err := c.call(proto.Message{Type: proto.MsgQueryFetch, Version: proto.V3, Queries: reqs})
+	reply, err := c.call(proto.Message{Type: proto.MsgQueryFetch, Queries: reqs})
 	if err != nil {
 		return nil, err
 	}
@@ -503,7 +482,7 @@ func (c *Client) Fetch(series string, n int) ([]proto.Sample, error) {
 // including the degraded-staleness advisory, whose lag watermark rides
 // the forecast result exactly as it rides fetch results.
 func (c *Client) ForecastMany(reqs []proto.SeriesRequest) ([]query.ForecastResult, error) {
-	reply, err := c.call(proto.Message{Type: proto.MsgQueryForecast, Version: proto.V3, Queries: reqs})
+	reply, err := c.call(proto.Message{Type: proto.MsgQueryForecast, Queries: reqs})
 	if err != nil {
 		return nil, err
 	}

@@ -506,7 +506,7 @@ func TestClientForecastRehydratesDegraded(t *testing.T) {
 					return
 				}
 				st.Reply(req, proto.Message{
-					Type: proto.MsgQueryForecastReply, Version: proto.V3,
+					Type: proto.MsgQueryForecastReply,
 					Forecasts: []proto.ForecastResult{{
 						Series: "cpu", Value: 2.5, MAE: 0.25, Method: "mean", Count: 8,
 						Error: "replica lagging", Code: proto.CodeDegraded, Replica: true, Lag: 7,

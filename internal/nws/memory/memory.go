@@ -251,18 +251,8 @@ func (s *Server) handleFetch(req proto.Message) {
 
 // handleBatchFetch answers a batch fetch: every requested series in
 // one round-trip. Unknown series come back empty (like single Fetch);
-// results keep the request order. The reply echoes the request's
-// version so V2 and V3 callers each get replies priced (and encoded)
-// at their own wire version.
+// results keep the request order.
 func (s *Server) handleBatchFetch(req proto.Message) {
-	if req.Version > proto.V3 {
-		s.st.ReplyError(req, "memory: unsupported protocol version %d (max %d)", req.Version, proto.V3)
-		return
-	}
-	ver := req.Version
-	if ver < proto.V2 {
-		ver = proto.V2
-	}
 	results := make([]proto.SeriesResult, len(req.Queries))
 	s.mu.Lock()
 	// One backing array for every result's samples instead of one copy
@@ -288,7 +278,7 @@ func (s *Server) handleBatchFetch(req proto.Message) {
 		}
 	}
 	s.mu.Unlock()
-	s.st.Reply(req, proto.Message{Type: proto.MsgBatchFetchReply, Version: ver, Results: results})
+	s.st.Reply(req, proto.Message{Type: proto.MsgBatchFetchReply, Results: results})
 }
 
 // handleReplStore applies one fan-out append from a primary. An owned
@@ -355,7 +345,7 @@ func (s *Server) handleReplSync(req proto.Message) {
 	}
 	s.mu.Unlock()
 	sort.Slice(results, func(i, j int) bool { return results[i].Series < results[j].Series })
-	s.st.Reply(req, proto.Message{Type: proto.MsgReplSyncReply, Version: proto.V3, Results: results})
+	s.st.Reply(req, proto.Message{Type: proto.MsgReplSyncReply, Results: results})
 }
 
 // handleReplRepair re-establishes the replication factor after a crash:
@@ -383,7 +373,7 @@ func (s *Server) handleReplRepair(req proto.Message) {
 		sort.Slice(results, func(i, j int) bool { return results[i].Series < results[j].Series })
 	} else {
 		reply, err := s.st.Call(survivor, proto.Message{
-			Type: proto.MsgReplSync, Version: proto.V3, Name: dead,
+			Type: proto.MsgReplSync, Name: dead,
 		}, 30*time.Second)
 		if err != nil {
 			s.st.ReplyError(req, "memory: repair sync with survivor %s: %v", survivor, err)
@@ -571,10 +561,10 @@ func (c *Client) Fetch(series string, n int) ([]proto.Sample, error) {
 	return reply.Samples, nil
 }
 
-// BatchFetch returns many series in one round-trip (V2). Results keep
+// BatchFetch returns many series in one round-trip. Results keep
 // the request order; per-series Count semantics match Fetch.
 func (c *Client) BatchFetch(reqs []proto.SeriesRequest) ([]proto.SeriesResult, error) {
-	reply, err := c.St.Call(c.Host, proto.Message{Type: proto.MsgBatchFetch, Version: proto.V3, Queries: reqs}, c.Timeout)
+	reply, err := c.St.Call(c.Host, proto.Message{Type: proto.MsgBatchFetch, Queries: reqs}, c.Timeout)
 	if err != nil {
 		return nil, err
 	}

@@ -133,7 +133,7 @@ func TestFetchNonPositiveN(t *testing.T) {
 	})
 }
 
-// TestBatchFetchMatchesSingle: the V2 batch answers exactly what the
+// TestBatchFetchMatchesSingle: the batch answers exactly what the
 // single-shot path would, per series, in request order.
 func TestBatchFetchMatchesSingle(t *testing.T) {
 	r := rig(t, false)

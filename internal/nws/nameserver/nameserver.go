@@ -187,7 +187,7 @@ func (c *Client) RegisterBulk(regs []proto.Registration) (int, error) {
 	if len(regs) == 0 {
 		return 0, nil
 	}
-	reply, err := c.St.Call(c.NSHost, proto.Message{Type: proto.MsgRegisterBulk, Version: proto.V3, Regs: regs}, c.Timeout)
+	reply, err := c.St.Call(c.NSHost, proto.Message{Type: proto.MsgRegisterBulk, Regs: regs}, c.Timeout)
 	if err != nil {
 		return 0, err
 	}

@@ -9,8 +9,7 @@ import (
 )
 
 // V3 wire codec: a hand-rolled length-prefixed binary encoding for the
-// whole Message vocabulary, replacing gob's per-message reflection on
-// the hot query plane. Layout is positional — every field of Message in
+// whole Message vocabulary. Layout is positional — every field of Message in
 // declaration order — with varints for integers (zigzag for signed),
 // 8-byte little-endian IEEE 754 for floats and uvarint-length-prefixed
 // bytes for strings. Slices are uvarint counts followed by elements.
@@ -97,7 +96,6 @@ func appendSamples(b []byte, ss []Sample) []byte {
 func AppendEncode(buf []byte, m *Message) []byte {
 	b := buf
 	b = appendUvarint(b, uint64(m.Type))
-	b = appendUvarint(b, uint64(m.Version))
 	b = appendString(b, m.From)
 	b = appendVarint(b, m.ID)
 	b = appendVarint(b, m.ReplyTo)
@@ -201,8 +199,7 @@ func sizeSamples(ss []Sample) int {
 // it: the sizing pass WireSize and buffer preallocation use, mirroring
 // AppendEncode field for field.
 func EncodedSize(m *Message) int {
-	n := sizeUvarint(uint64(m.Type)) + sizeUvarint(uint64(m.Version)) +
-		sizeString(m.From) + sizeVarint(m.ID) + sizeVarint(m.ReplyTo) +
+	n := sizeUvarint(uint64(m.Type)) + sizeString(m.From) + sizeVarint(m.ID) + sizeVarint(m.ReplyTo) +
 		sizeString(m.Error) + sizeReg(&m.Reg) + sizeString(m.Kind) + sizeString(m.Name)
 	n += sizeUvarint(uint64(len(m.Regs)))
 	for i := range m.Regs {
@@ -381,11 +378,6 @@ func Decode(data []byte, m *Message) error {
 		return err
 	}
 	m.Type = MsgType(t)
-	v, err := d.uvarint()
-	if err != nil {
-		return err
-	}
-	m.Version = int(v)
 	if m.From, err = d.str(); err != nil {
 		return err
 	}

@@ -20,7 +20,7 @@ func codecShapes() []Message {
 		{},
 		{Type: MsgPing, From: "h0", ID: 7},
 		{Type: MsgPong, From: "h1", ID: 9, ReplyTo: 7},
-		{Type: MsgRegister, Version: V1, From: "h1", ID: 1, Reg: reg},
+		{Type: MsgRegister, From: "h1", ID: 1, Reg: reg},
 		{Type: MsgLookup, From: "h2", ID: 2, Kind: "series", Name: "cpu.h1"},
 		{Type: MsgLookupReply, From: "ns", ID: 3, ReplyTo: 2, Regs: []Registration{reg, {Name: "b"}}},
 		{Type: MsgStore, From: "s", ID: 4, Series: "cpu.h1", Samples: samples},
@@ -29,41 +29,41 @@ func codecShapes() []Message {
 		{Type: MsgForecastReply, From: "f", ID: 8, ReplyTo: 7, Series: "cpu.h1",
 			Value: 0.5, MAE: 0.01, MSE: 0.002, Method: "mean", Count: 16},
 		{Type: MsgToken, From: "h3", ID: 10, Clique: "cl0", TokenSeq: 41, Epoch: 1 << 20},
-		{Type: MsgBatchFetch, Version: V3, From: "gw", ID: 11,
+		{Type: MsgBatchFetch, From: "gw", ID: 11,
 			Queries: []SeriesRequest{{Series: "cpu.h1", Count: 1}, {Series: "cpu.h2", Count: -2}}},
-		{Type: MsgBatchFetchReply, Version: V3, From: "m", ID: 12, ReplyTo: 11,
+		{Type: MsgBatchFetchReply, From: "m", ID: 12, ReplyTo: 11,
 			Results: []SeriesResult{
 				{Series: "cpu.h1", Samples: samples},
 				{Series: "cpu.h2", Error: "gone", Code: CodeUnknownSeries},
 			}},
-		{Type: MsgBatchForecastReply, Version: V3, From: "f", ID: 13, ReplyTo: 11,
+		{Type: MsgBatchForecastReply, From: "f", ID: 13, ReplyTo: 11,
 			Forecasts: []ForecastResult{
 				{Series: "cpu.h1", Value: 1.25, MAE: 0.1, MSE: 0.02, Method: "median", Count: 8},
 				{Series: "cpu.h2", Error: "down", Code: CodeBackendDown},
 			}},
-		{Type: MsgQueryFetchReply, Version: V3, From: "gw", ID: 14, ReplyTo: 2, Error: "boom",
+		{Type: MsgQueryFetchReply, From: "gw", ID: 14, ReplyTo: 2, Error: "boom",
 			Results: []SeriesResult{{Series: "a", Samples: samples}, {Series: "b", Samples: samples[:1]}}},
-		{Type: MsgRegister, Version: V3, From: "m1", ID: 15,
+		{Type: MsgRegister, From: "m1", ID: 15,
 			Reg: Registration{Name: "cpu.h1", Kind: "series", Host: "h1", Owner: "memory.h1",
 				TTL: 30 * time.Second, Replicas: []string{"h2", "h3"}}},
-		{Type: MsgRegisterBulk, Version: V3, From: "m1", ID: 16,
+		{Type: MsgRegisterBulk, From: "m1", ID: 16,
 			Regs: []Registration{reg, {Name: "b", Replicas: []string{"h4"}}}},
-		{Type: MsgReplStore, Version: V3, From: "m1", ID: 17,
+		{Type: MsgReplStore, From: "m1", ID: 17,
 			Series: "cpu.h1", Samples: samples, Total: 42},
-		{Type: MsgReplWindow, Version: V3, From: "m1", ID: 18,
+		{Type: MsgReplWindow, From: "m1", ID: 18,
 			Series: "cpu.h1", Samples: samples, Total: 2},
-		{Type: MsgReplSyncReply, Version: V3, From: "m2", ID: 19, ReplyTo: 18,
+		{Type: MsgReplSyncReply, From: "m2", ID: 19, ReplyTo: 18,
 			Results: []SeriesResult{{Series: "cpu.h1", Samples: samples, Replica: true, Lag: 3}}},
-		{Type: MsgReplRepair, Version: V3, From: "master", ID: 20,
+		{Type: MsgReplRepair, From: "master", ID: 20,
 			Reg: Registration{Name: "memory.h1", Host: "h2", Replicas: []string{"h3"}}},
-		{Type: MsgReplAck, Version: V3, From: "m2", ID: 21, ReplyTo: 20, Count: 2, Total: 64},
-		{Type: MsgQueryForecastReply, Version: V3, From: "gw", ID: 22, ReplyTo: 11,
+		{Type: MsgReplAck, From: "m2", ID: 21, ReplyTo: 20, Count: 2, Total: 64},
+		{Type: MsgQueryForecastReply, From: "gw", ID: 22, ReplyTo: 11,
 			Forecasts: []ForecastResult{
 				{Series: "cpu.h1", Value: 2.5, MAE: 0.2, MSE: 0.04, Method: "mean", Count: 12,
 					Error: "degraded", Code: CodeDegraded, Replica: true, Lag: 5},
 				{Series: "cpu.h2", Value: 1.0, Method: "last", Count: 3},
 			}},
-		{Type: MsgQueryFetchReply, Version: V3, From: "gw", ID: 23, ReplyTo: 11,
+		{Type: MsgQueryFetchReply, From: "gw", ID: 23, ReplyTo: 11,
 			Error: "gateway gw overloaded", Code: CodeOverloaded, RetryAfter: 500 * time.Millisecond},
 	}
 }
@@ -92,7 +92,7 @@ func TestCodecRoundTripEveryShape(t *testing.T) {
 // optimization cannot let an append on one result's samples clobber a
 // neighbor's.
 func TestDecodeSharedBackingCapPinned(t *testing.T) {
-	m := Message{Type: MsgBatchFetchReply, Version: V3, Results: []SeriesResult{
+	m := Message{Type: MsgBatchFetchReply, Results: []SeriesResult{
 		{Series: "a", Samples: []Sample{{At: 1, Value: 1}}},
 		{Series: "b", Samples: []Sample{{At: 2, Value: 2}}},
 	}}
@@ -139,7 +139,7 @@ func TestDecodeOversizedFrameTyped(t *testing.T) {
 func TestDecodeHostileLengthPrefix(t *testing.T) {
 	m := Message{Type: MsgLookupReply}
 	enc := AppendEncode(nil, &m)
-	// The Regs count sits after Type/Version/From/ID/ReplyTo/Error/Reg/
+	// The Regs count sits after Type/From/ID/ReplyTo/Error/Reg/
 	// Kind/Name; rather than compute the offset, splice a huge count in
 	// by re-encoding with a prefix that lies. Simpler: decode a frame
 	// that is all 0xFF varint bytes — the first length it parses is
@@ -156,7 +156,7 @@ func TestDecodeHostileLengthPrefix(t *testing.T) {
 }
 
 func TestEncodedSizeMatchesForEmptyAndHuge(t *testing.T) {
-	big := Message{Type: MsgBatchFetchReply, Version: V3, From: "memory.h3-0-1"}
+	big := Message{Type: MsgBatchFetchReply, From: "memory.h3-0-1"}
 	for i := 0; i < 200; i++ {
 		s := make([]Sample, 50)
 		for k := range s {

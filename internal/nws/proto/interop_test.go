@@ -1,8 +1,10 @@
 package proto
 
 import (
-	"encoding/gob"
+	"encoding/binary"
+	"errors"
 	"net"
+	"os"
 	"reflect"
 	"testing"
 	"time"
@@ -27,8 +29,7 @@ func crossRegister(a, b *TCPTransport) {
 }
 
 // batchEchoServer answers every BatchFetch with a fixed two-series
-// reply at the request's version, so tests can verify payload fidelity
-// across whatever encoding the connection negotiated.
+// reply, so tests can verify payload fidelity across the wire.
 func batchEchoServer(st *Station) {
 	for {
 		req, ok := st.Recv()
@@ -36,7 +37,7 @@ func batchEchoServer(st *Station) {
 			return
 		}
 		st.Reply(req, Message{
-			Type: MsgBatchFetchReply, Version: req.Version,
+			Type: MsgBatchFetchReply,
 			Results: []SeriesResult{
 				{Series: "cpu.a", Samples: []Sample{{At: time.Second, Value: 1.5}, {At: 2 * time.Second, Value: -2.25}}},
 				{Series: "cpu.b", Error: "gone", Code: CodeUnknownSeries},
@@ -52,9 +53,9 @@ func wantResults() []SeriesResult {
 	}
 }
 
-func interopCall(t *testing.T, from *Station, to string, version int) {
+func interopCall(t *testing.T, from *Station, to string) {
 	t.Helper()
-	reply, err := from.Call(to, Message{Type: MsgBatchFetch, Version: version,
+	reply, err := from.Call(to, Message{Type: MsgBatchFetch,
 		Queries: []SeriesRequest{{Series: "cpu.a", Count: 2}, {Series: "cpu.b"}}}, 5*time.Second)
 	if err != nil {
 		t.Fatalf("call %s: %v", to, err)
@@ -64,9 +65,9 @@ func interopCall(t *testing.T, from *Station, to string, version int) {
 	}
 }
 
-// TestInteropV3BothEnds: two V3 transports negotiate the compact codec
-// and the telemetry counters record version-3 encodes with byte
-// accounting on both directions.
+// TestInteropV3BothEnds: two transports pass the hello check, carry
+// compact frames, and the telemetry counters record version-3 encodes
+// with byte accounting on both directions.
 func TestInteropV3BothEnds(t *testing.T) {
 	reg := telemetry.New(nil)
 	trA, trB := NewTCPTransport(), NewTCPTransport()
@@ -86,7 +87,7 @@ func TestInteropV3BothEnds(t *testing.T) {
 	defer sb.Close()
 	go batchEchoServer(sb)
 
-	interopCall(t, sa, "b", V3)
+	interopCall(t, sa, "b")
 
 	flat := reg.Snapshot().Flatten()
 	if flat["proto/encode_total{version=3}"] < 2 { // request + reply
@@ -97,90 +98,80 @@ func TestInteropV3BothEnds(t *testing.T) {
 	}
 }
 
-// TestInteropV3DialsV2CappedPeer: a current transport calling a peer
-// capped at V2 falls back to gob on that connection and the batch
-// round-trip is payload-identical.
-func TestInteropV3DialsV2CappedPeer(t *testing.T) {
-	reg := telemetry.New(nil)
-	trA, trB := NewTCPTransport(), NewTCPTransportMaxVersion(V2)
-	trA.SetTelemetry(reg)
-	epA, err := trA.Open("a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	epB, err := trB.Open("b")
-	if err != nil {
-		t.Fatal(err)
-	}
-	crossRegister(trA, trB)
-	sa, sb := NewStation(trA.Runtime(), epA), NewStation(trB.Runtime(), epB)
-	defer sa.Close()
-	defer sb.Close()
-	go batchEchoServer(sb)
-
-	interopCall(t, sa, "b", V3)
-
-	flat := reg.Snapshot().Flatten()
-	if flat["proto/encode_total{version=2}"] < 1 {
-		t.Fatalf("dialer should have fallen back to the v2 gob stream, metrics %v", flat)
-	}
-	if flat["proto/encode_total{version=3}"] != 0 {
-		t.Fatalf("no v3 frames should exist on a v2-capped link, metrics %v", flat)
-	}
-}
-
-// TestInteropV2CappedDialsV3Peer: the reverse direction — an old-wire
-// dialer reaching a current acceptor negotiates down and completes the
-// same round-trip.
-func TestInteropV2CappedDialsV3Peer(t *testing.T) {
-	trA, trB := NewTCPTransportMaxVersion(V2), NewTCPTransport()
-	epA, err := trA.Open("a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	epB, err := trB.Open("b")
-	if err != nil {
-		t.Fatal(err)
-	}
-	crossRegister(trA, trB)
-	sa, sb := NewStation(trA.Runtime(), epA), NewStation(trB.Runtime(), epB)
-	defer sa.Close()
-	defer sb.Close()
-	go batchEchoServer(sb)
-
-	interopCall(t, sa, "b", V2)
-}
-
-// TestInteropLegacyRawGobDialer: a peer that predates the handshake
-// writes gob from byte zero; the acceptor must sniff the missing magic
-// and serve the connection as a legacy gob stream.
-func TestInteropLegacyRawGobDialer(t *testing.T) {
+// TestHandshakeRejectsForeignDialers: a dialer that skips the hello
+// (raw frames from byte zero) and a dialer offering wire version 2 both
+// get their connection closed without an answer, and nothing they sent
+// reaches the inbox.
+func TestHandshakeRejectsForeignDialers(t *testing.T) {
 	tr := NewTCPTransport()
 	ep, err := tr.Open("srv")
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := NewStation(tr.Runtime(), ep)
-	defer st.Close()
-
+	defer ep.Close()
 	addr, _ := tr.Addr("srv")
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	enc := gob.NewEncoder(conn)
-	want := Message{Type: MsgStore, From: "legacy", ID: 7, Series: "cpu.x",
-		Samples: []Sample{{At: 3 * time.Second, Value: 9.5}}}
-	if err := enc.Encode(&want); err != nil {
-		t.Fatal(err)
-	}
 
-	got, ok := st.Recv()
-	if !ok {
-		t.Fatal("station closed before delivery")
+	m := Message{Type: MsgStore, From: "stray", ID: 7, Series: "cpu.x",
+		Samples: []Sample{{At: 3 * time.Second, Value: 9.5}}}
+	frame := binary.LittleEndian.AppendUint32(nil, uint32(EncodedSize(&m)))
+	frame = AppendEncode(frame, &m)
+	for _, tc := range []struct {
+		name  string
+		opens []byte
+	}{
+		{"no magic", nil},
+		{"version 2", []byte(wireMagic + "\x02")},
+	} {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Write(append(append([]byte{}, tc.opens...), frame...)); err != nil {
+			t.Fatalf("%s: write: %v", tc.name, err)
+		}
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		var b [1]byte
+		n, err := conn.Read(b[:])
+		if n != 0 || err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+			t.Fatalf("%s: want the connection closed unanswered, got n=%d err=%v", tc.name, n, err)
+		}
+		conn.Close()
+		if got, ok := ep.Inbox().TryRecv(); ok {
+			t.Fatalf("%s: rejected dialer delivered %+v", tc.name, got)
+		}
 	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("legacy gob message mangled:\n got %+v\nwant %+v", got, want)
+}
+
+// TestSelfSendCountsNoWireBytes: a message a host sends to itself
+// crosses no wire, so on both transports it reaches the inbox without
+// moving the codec counters.
+func TestSelfSendCountsNoWireBytes(t *testing.T) {
+	m := Message{Type: MsgPing, From: "a", Series: "cpu.a", Samples: []Sample{{At: time.Second, Value: 1}}}
+	check := func(name string, tr interface {
+		Transport
+		SetTelemetry(*telemetry.Registry)
+	}) {
+		reg := telemetry.New(nil)
+		tr.SetTelemetry(reg)
+		ep, err := tr.Open("a")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ep.Close()
+		if err := ep.Send("a", m); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got, ok := ep.Inbox().TryRecv(); !ok || !reflect.DeepEqual(got, m) {
+			t.Fatalf("%s: self-send delivered %+v, %v", name, got, ok)
+		}
+		flat := reg.Snapshot().Flatten()
+		for _, k := range []string{"proto/encode_total{version=3}", "proto/bytes_out", "proto/bytes_in"} {
+			if flat[k] != 0 {
+				t.Errorf("%s: %s = %v after a self-send, want 0", name, k, flat[k])
+			}
+		}
 	}
+	_, sim := pair(t)
+	check("sim", sim)
+	check("tcp", NewTCPTransport())
 }

@@ -9,9 +9,9 @@ import (
 )
 
 // SimTransport delivers messages over a simnet.Network: each message is
-// charged the one-way path latency plus serialization of its estimated
-// wire size; firewall zones apply. Host endpoints can be taken down and
-// brought back up to inject failures.
+// charged the one-way path latency plus serialization of its exact
+// framed wire size; firewall zones apply. Host endpoints can be taken
+// down and brought back up to inject failures.
 type SimTransport struct {
 	net *simnet.Network
 	rt  *SimRuntime
@@ -35,7 +35,7 @@ func NewSimTransport(net *simnet.Network) *SimTransport {
 }
 
 // SetTelemetry wires the transport's codec counters
-// (proto/encode_total{version=...}, proto/bytes_out, proto/bytes_in)
+// (proto/encode_total{version=3}, proto/bytes_out, proto/bytes_in)
 // into reg. Simulated messages are never byte-encoded, so each is
 // counted at its WireSize — the same cost the network charges.
 func (t *SimTransport) SetTelemetry(reg *telemetry.Registry) {
@@ -133,15 +133,8 @@ func (e *simEndpoint) Send(to string, m Message) error {
 		return nil
 	}
 	if to == e.host {
-		// Local delivery: no network charge, but the codec counters
-		// still tick — the TCP transport encodes loopback traffic (a
-		// self-dial runs through the framing layer), and the telemetry
-		// planes must agree on what "encoded" means.
-		if stats != nil {
-			size := m.WireSize()
-			stats.encoded(wireVersionOf(&m), size)
-			stats.received(size)
-		}
+		// Local delivery crosses no wire: no network charge and no codec
+		// counters, exactly like the TCP transport's self-send.
 		e.inbox.Send(m)
 		return nil
 	}
@@ -151,7 +144,7 @@ func (e *simEndpoint) Send(to string, m Message) error {
 		return nil
 	}
 	size := m.WireSize()
-	stats.encoded(wireVersionOf(&m), size)
+	stats.encoded(size)
 	return t.net.Deliver(e.host, to, size, func() {
 		t.mu.Lock()
 		dst := t.eps[to]

@@ -1,8 +1,6 @@
 package proto
 
 import (
-	"strconv"
-
 	"nwsenv/internal/telemetry"
 )
 
@@ -12,7 +10,7 @@ import (
 // not wired) no-ops everywhere, matching the registry's own nil
 // contract.
 type wireStats struct {
-	enc      [V3 + 1]*telemetry.Counter // indexed by wire version; 0 unused
+	enc      *telemetry.Counter // proto/encode_total{version=3}
 	bytesOut *telemetry.Counter
 	bytesIn  *telemetry.Counter
 }
@@ -21,49 +19,26 @@ func newWireStats(reg *telemetry.Registry) *wireStats {
 	if reg == nil {
 		return nil
 	}
-	w := &wireStats{
+	return &wireStats{
+		enc:      reg.Counter("proto", "encode_total", map[string]string{"version": "3"}),
 		bytesOut: reg.Counter("proto", "bytes_out", nil),
 		bytesIn:  reg.Counter("proto", "bytes_in", nil),
 	}
-	for v := V1; v <= V3; v++ {
-		w.enc[v] = reg.Counter("proto", "encode_total", map[string]string{"version": strconv.Itoa(v)})
-	}
-	return w
 }
 
-// encoded records one message put on the wire: n bytes at wire version
-// v — the encoding actually used for transport, not the message's own
-// Version field.
-func (w *wireStats) encoded(v int, n int64) {
+// encoded records one message of n framed bytes put on a wire.
+func (w *wireStats) encoded(n int64) {
 	if w == nil {
 		return
 	}
-	if v < V1 || v > V3 {
-		v = V1
-	}
-	w.enc[v].Add(1)
+	w.enc.Add(1)
 	w.bytesOut.Add(n)
 }
 
-// received records n bytes taken off the wire.
+// received records n bytes taken off a wire.
 func (w *wireStats) received(n int64) {
 	if w == nil {
 		return
 	}
 	w.bytesIn.Add(n)
-}
-
-// wireVersionOf is the encoding a non-negotiating transport (the
-// simulated one) charges for a message: the compact codec for V3
-// messages, the gob vocabulary at the message's own version otherwise
-// (a zero Version means V1).
-func wireVersionOf(m *Message) int {
-	switch {
-	case m.Version >= V3:
-		return V3
-	case m.Version >= V2:
-		return V2
-	default:
-		return V1
-	}
 }

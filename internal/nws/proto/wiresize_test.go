@@ -1,58 +1,17 @@
 package proto
 
-import (
-	"bytes"
-	"encoding/gob"
-	"testing"
-)
+import "testing"
 
 // TestWireSizeExactForV3 pins the WireSize contract the simulator's
-// byte accounting relies on: for a V3 message the charge is the exact
-// framed codec length, not an estimate. Drift between WireSize and the
+// byte accounting relies on: for every message shape the charge is the
+// exact framed codec length, not an estimate. Drift between WireSize and the
 // bytes the TCP transport actually writes would make the simulated and
 // real planes disagree on every bandwidth figure.
 func TestWireSizeExactForV3(t *testing.T) {
 	for i, m := range codecShapes() {
-		m.Version = V3
 		want := int64(len(AppendEncode(nil, &m))) + frameHeaderSize
 		if got := m.WireSize(); got != want {
 			t.Errorf("shape %d: WireSize=%d, framed codec length=%d", i, got, want)
-		}
-	}
-}
-
-// TestWireSizeEstimateTracksGob bounds the drift of the V1/V2 estimate
-// against the real gob encoding. The comparison is against the
-// *marginal* cost on a primed encoder — gob sends its type descriptors
-// once per connection, and the estimate models the steady-state
-// per-message charge. It need not be exact, but it must stay within a
-// factor of four in both directions, so simulated link charges remain
-// the right order of magnitude. A refactor that adds a heavy Message
-// field without touching WireSize fails here.
-func TestWireSizeEstimateTracksGob(t *testing.T) {
-	for i, m := range codecShapes() {
-		if m.Version >= V3 {
-			m.Version = V2
-		}
-		var buf bytes.Buffer
-		enc := gob.NewEncoder(&buf)
-		if err := enc.Encode(&m); err != nil {
-			t.Fatalf("shape %d: gob: %v", i, err)
-		}
-		primed := buf.Len()
-		if err := enc.Encode(&m); err != nil {
-			t.Fatalf("shape %d: gob second encode: %v", i, err)
-		}
-		actual := int64(buf.Len() - primed)
-		est := m.WireSize()
-		if est*4 < actual {
-			t.Errorf("shape %d: estimate %d under actual gob size %d by more than 4x", i, est, actual)
-		}
-		// The estimate deliberately carries a ~128-byte floor for gob's
-		// per-message framing and amortized descriptor cost, so the
-		// upper bound gets that much slack before the 4x factor bites.
-		if est > actual*4+160 {
-			t.Errorf("shape %d: estimate %d over actual gob size %d by more than 4x+160", i, est, actual)
 		}
 	}
 }

@@ -80,7 +80,7 @@ func (f *Fanout) Replicas() []string {
 // samples must be a caller-owned copy (they are retained in the queue).
 func (f *Fanout) Store(series string, samples []proto.Sample, total int64) {
 	f.send(proto.Message{
-		Type: proto.MsgReplStore, Version: proto.V3,
+		Type:   proto.MsgReplStore,
 		Series: series, Samples: samples, Total: total,
 	})
 }
@@ -90,7 +90,7 @@ func (f *Fanout) Store(series string, samples []proto.Sample, total int64) {
 // adopts samples with applied = total.
 func (f *Fanout) Window(series string, samples []proto.Sample, total int64) {
 	f.send(proto.Message{
-		Type: proto.MsgReplWindow, Version: proto.V3,
+		Type:   proto.MsgReplWindow,
 		Series: series, Samples: samples, Total: total,
 	})
 }

@@ -29,7 +29,7 @@ func (fakeProber) ConnectTime(from, to string) (time.Duration, error) {
 
 // TestFullNWSOverRealTCP boots a name server, a memory server, a
 // forecaster and a three-member measurement clique over loopback TCP
-// sockets with gob encoding and wall-clock time, then walks the §2.1
+// sockets with framed binary encoding and wall-clock time, then walks the §2.1
 // four-step query flow. It proves the NWS components are not bound to
 // the simulation substrate.
 func TestFullNWSOverRealTCP(t *testing.T) {

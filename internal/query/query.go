@@ -1,10 +1,10 @@
 // Package query is the unified client facade over a deployed NWS: one
-// versioned query plane in front of the per-service clients. Where the
+// query plane in front of the per-service clients. Where the
 // ad-hoc clients (nameserver.Client, memory.Client, forecast.Client)
 // each did a fresh directory lookup and one blocking round-trip per
 // series, a query.Client keeps a TTL'd discovery cache, deduplicates
 // concurrent lookups (singleflight), batches multi-series queries into
-// one V2 round-trip per backend, fans out across backends on a bounded
+// one round-trip per backend, fans out across backends on a bounded
 // worker pool, caches forecasts per series, and reports failures as
 // structured errors (ErrSeriesUnknown, ErrBackendDown) instead of
 // stringly proto errors.
@@ -198,7 +198,7 @@ type fcEntry struct {
 	expires time.Duration
 }
 
-// Client is the versioned query plane's client facade.
+// Client is the query plane's client facade.
 type Client struct {
 	port     proto.Port
 	rt       proto.Runtime
@@ -590,7 +590,7 @@ func (c *Client) FetchMany(reqs []proto.SeriesRequest) []Result {
 				telemetry.Attr{Key: "series", Value: fmt.Sprint(len(batch))})
 		}
 		reply, err := c.port.Call(host, proto.Message{
-			Type: proto.MsgBatchFetch, Version: proto.V3, Queries: batch,
+			Type: proto.MsgBatchFetch, Queries: batch,
 		}, c.timeout)
 		bsp.End()
 		from := host
@@ -652,7 +652,7 @@ func (c *Client) failoverFetch(root *telemetry.ActiveSpan, replicas []string, ba
 			bsp = root.Child("failover", telemetry.Attr{Key: "host", Value: rh})
 		}
 		reply, err := c.port.Call(rh, proto.Message{
-			Type: proto.MsgBatchFetch, Version: proto.V3, Queries: batch,
+			Type: proto.MsgBatchFetch, Queries: batch,
 		}, c.timeout)
 		bsp.End()
 		if err != nil {
@@ -699,7 +699,7 @@ func (c *Client) Forecast(series string, history int) (predict.Prediction, error
 
 // ForecastMany predicts every requested series: cache hits answer
 // locally, the misses shard across the registered forecasters (stable
-// by series hash) with one V2 round-trip per forecaster.
+// by series hash) with one round-trip per forecaster.
 func (c *Client) ForecastMany(reqs []proto.SeriesRequest) []ForecastResult {
 	var root *telemetry.ActiveSpan
 	if c.tele != nil {
@@ -771,7 +771,7 @@ func (c *Client) ForecastMany(reqs []proto.SeriesRequest) []ForecastResult {
 				telemetry.Attr{Key: "series", Value: fmt.Sprint(len(batch))})
 		}
 		reply, err := c.port.Call(host, proto.Message{
-			Type: proto.MsgBatchForecast, Version: proto.V3, Queries: batch,
+			Type: proto.MsgBatchForecast, Queries: batch,
 		}, c.timeout)
 		bsp.End()
 		if err != nil {

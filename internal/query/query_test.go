@@ -350,19 +350,3 @@ func TestWorkerPoolBounded(t *testing.T) {
 		t.Errorf("MsgBatchFetch sent %d times, want 2", got)
 	}
 }
-
-// TestUnsupportedVersionRejected: a batch from a future protocol
-// version is refused by the server instead of being half-understood.
-func TestUnsupportedVersionRejected(t *testing.T) {
-	r := newRig(t)
-	r.seed(t)
-	r.run(t, func() {
-		_, err := r.st.Call("m1", proto.Message{
-			Type: proto.MsgBatchFetch, Version: proto.V3 + 1,
-			Queries: []proto.SeriesRequest{{Series: "a1", Count: 1}},
-		}, 5*time.Second)
-		if err == nil {
-			t.Error("version 4 batch accepted")
-		}
-	})
-}

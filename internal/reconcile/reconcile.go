@@ -314,8 +314,8 @@ func (r *Reconciler) repairReplication(oldPlan *deploy.Plan, oldResolve map[stri
 			continue
 		}
 		reply, err := master.Station().Call(adopterNode, proto.Message{
-			Type: proto.MsgReplRepair, Version: proto.V3,
-			Reg: proto.Registration{Name: deadNode, Host: survivorNode},
+			Type: proto.MsgReplRepair,
+			Reg:  proto.Registration{Name: deadNode, Host: survivorNode},
 		}, time.Minute)
 		if err != nil {
 			r.pl.Observe(core.PhaseReconcile, "anti-entropy: adopter %s: %v", adopter, err)

@@ -3,7 +3,7 @@
 // 100/500/1000 hosts. Each size runs two variants over the same stack:
 //
 //   - QuerySeq is the pre-query-plane client behavior — a fresh
-//     directory lookup plus one blocking single-series fetch per
+//     directory lookup plus one blocking one-element batch fetch per
 //     series, strictly sequential.
 //   - QueryBatch is query.Client.FetchMany — one bulk directory
 //     round-trip, then one batched fetch per owning memory server,
@@ -133,8 +133,9 @@ func (s *queryStack) drive(b *testing.B, fn func()) {
 	}
 }
 
-// BenchmarkQuerySeq: the old client surface — per series, one directory
-// lookup then one blocking single-series fetch, sequentially.
+// BenchmarkQuerySeq: the per-series client pattern — per series, one
+// directory lookup then one blocking one-element batch fetch,
+// sequentially.
 func BenchmarkQuerySeq(b *testing.B) {
 	for _, hosts := range []int{100, 500, 1000} {
 		b.Run(fmt.Sprintf("hosts=%d", hosts), func(b *testing.B) {
@@ -149,8 +150,8 @@ func BenchmarkQuerySeq(b *testing.B) {
 							b.Errorf("lookup %s: %v found=%v", name, err, found)
 							return
 						}
-						samples, err := memory.NewClient(st.client, reg.Host).Fetch(name, 1)
-						if err != nil || len(samples) == 0 {
+						res, err := memory.NewClient(st.client, reg.Host).BatchFetch([]proto.SeriesRequest{{Series: name, Count: 1}})
+						if err != nil || len(res) != 1 || len(res[0].Samples) == 0 {
 							b.Errorf("fetch %s: %v", name, err)
 							return
 						}

@@ -42,7 +42,7 @@ type Outcome struct {
 	// Validation checks the plan's §2.3 constraints against the true
 	// topology.
 	Validation *deploy.Validation
-	// Deployment is the running system (nil with WithPlanOnly).
+	// Deployment is the running system.
 	Deployment *deploy.Deployment
 	// Resolve maps canonical machine names to node IDs.
 	Resolve map[string]string

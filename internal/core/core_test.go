@@ -17,12 +17,36 @@ import (
 	"nwsenv/internal/vclock"
 )
 
-// simDeploy runs the whole pipeline (Map, Plan and, unless
-// WithPlanOnly is among opts, Apply) on the simulated platform. It
-// must be called from a simulation process.
+// simDeploy runs the whole pipeline (Map, Plan, Apply) on the simulated
+// platform. It must be called from a simulation process.
 func simDeploy(net *simnet.Network, runs []MapRun, opts ...Option) (*Outcome, error) {
 	pl := NewPipeline(platform.NewSimPlatform(net, proto.NewSimTransport(net)), opts...)
 	return pl.Deploy(context.Background(), runs...)
+}
+
+// simPlan runs Map and Plan on the simulated platform without starting
+// agents. It must be called from a simulation process.
+func simPlan(net *simnet.Network, runs []MapRun, opts ...Option) (*PlanResult, error) {
+	pl := NewPipeline(platform.NewSimPlatform(net, proto.NewSimTransport(net)), opts...)
+	m, err := pl.Map(context.Background(), runs...)
+	if err != nil {
+		return nil, err
+	}
+	return pl.Plan(m)
+}
+
+// runSim runs fn as a simulation process on net for up to d of virtual
+// time and fails the test on a simulator error or fn's error.
+func runSim(t *testing.T, net *simnet.Network, d time.Duration, fn func() error) {
+	t.Helper()
+	var err error
+	net.Sim().Go("pipeline", func() { err = fn() })
+	if er := net.Sim().RunUntil(d); er != nil {
+		t.Fatal(er)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
 }
 
 // ensLyonRuns is the paper's two-run mapping of the testbed, one run
@@ -34,55 +58,59 @@ func ensLyonRuns(e *topo.EnsLyon) []MapRun {
 	}
 }
 
-func ensLyonAutoDeploy(t *testing.T, planOnly bool) (*topo.EnsLyon, *simnet.Network, *Outcome) {
+func ensLyonOpts(e *topo.EnsLyon) []Option {
+	return []Option{WithAliases(e.GatewayAliases...), WithTokenGap(time.Second),
+		WithHostSensors(30 * time.Second)}
+}
+
+// ensLyonAutoDeploy maps, plans and deploys the paper's testbed. The
+// mapping itself takes ~1 virtual minute; a 30-minute budget keeps the
+// always-on host sensors from burning real test time.
+func ensLyonAutoDeploy(t *testing.T) (*topo.EnsLyon, *simnet.Network, *Outcome) {
 	t.Helper()
 	e := topo.NewEnsLyon()
-	sim := vclock.New()
-	net := simnet.NewNetwork(sim, e.Topo)
-	opts := []Option{WithAliases(e.GatewayAliases...), WithTokenGap(time.Second),
-		WithHostSensors(30 * time.Second)}
-	if planOnly {
-		opts = append(opts, WithPlanOnly())
-	}
+	net := simnet.NewNetwork(vclock.New(), e.Topo)
 	var out *Outcome
-	var err error
-	sim.Go("autodeploy", func() {
-		out, err = simDeploy(net, ensLyonRuns(e), opts...)
+	runSim(t, net, 30*time.Minute, func() (err error) {
+		out, err = simDeploy(net, ensLyonRuns(e), ensLyonOpts(e)...)
+		return err
 	})
-	// The mapping itself takes ~1 virtual minute; a 30-minute budget
-	// keeps the always-on host sensors from burning real test time.
-	if er := sim.RunUntil(30 * time.Minute); er != nil {
-		t.Fatal(er)
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
 	return e, net, out
 }
 
+// ensLyonPlan maps and plans the paper's testbed without deploying.
+func ensLyonPlan(t *testing.T) *PlanResult {
+	t.Helper()
+	e := topo.NewEnsLyon()
+	net := simnet.NewNetwork(vclock.New(), e.Topo)
+	var pr *PlanResult
+	runSim(t, net, 30*time.Minute, func() (err error) {
+		pr, err = simPlan(net, ensLyonRuns(e), ensLyonOpts(e)...)
+		return err
+	})
+	return pr
+}
+
 func TestAutoDeployPlanOnly(t *testing.T) {
-	_, _, out := ensLyonAutoDeploy(t, true)
-	if out.Plan == nil || out.Validation == nil {
+	pr := ensLyonPlan(t)
+	if pr.Plan == nil || pr.Validation == nil {
 		t.Fatal("missing plan or validation")
 	}
-	if !out.Validation.Complete {
-		t.Fatalf("incomplete: %v", out.Validation.MissingPairs)
+	if !pr.Validation.Complete {
+		t.Fatalf("incomplete: %v", pr.Validation.MissingPairs)
 	}
-	if out.Deployment != nil {
-		t.Fatal("PlanOnly must not deploy")
-	}
-	if len(out.Merged.Networks) < 4 {
-		t.Fatalf("networks %d", len(out.Merged.Networks))
+	if len(pr.Mapping.Merged.Networks) < 4 {
+		t.Fatalf("networks %d", len(pr.Mapping.Merged.Networks))
 	}
 	// 14 distinct machines (6 outside + 11 inside entries, minus the 3
 	// gateways counted on both sides).
-	if len(out.Plan.Hosts) != 14 {
-		t.Fatalf("plan hosts %d: %v", len(out.Plan.Hosts), out.Plan.Hosts)
+	if len(pr.Plan.Hosts) != 14 {
+		t.Fatalf("plan hosts %d: %v", len(pr.Plan.Hosts), pr.Plan.Hosts)
 	}
 }
 
 func TestAutoDeployEndToEnd(t *testing.T) {
-	e, net, out := ensLyonAutoDeploy(t, false)
+	e, net, out := ensLyonAutoDeploy(t)
 	if out.Deployment == nil {
 		t.Fatal("no deployment")
 	}
@@ -122,17 +150,11 @@ func TestAutoDeploySingleRun(t *testing.T) {
 			hosts = append(hosts, h)
 		}
 	}
-	var out *Outcome
-	var err error
-	sim.Go("auto", func() {
-		out, err = simDeploy(net, []MapRun{{Master: hosts[0], Hosts: hosts}}, WithPlanOnly())
+	var out *PlanResult
+	runSim(t, net, 24*time.Hour, func() (err error) {
+		out, err = simPlan(net, []MapRun{{Master: hosts[0], Hosts: hosts}})
+		return err
 	})
-	if e := sim.RunUntil(24 * time.Hour); e != nil {
-		t.Fatal(e)
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Every ground-truth segment appears as a clique with the right
 	// style.
 	for seg, tr := range truth {
@@ -178,8 +200,8 @@ func TestAutoDeployNoRuns(t *testing.T) {
 func TestGridMLRoundTripDrivesPlanner(t *testing.T) {
 	// Save the merged mapping to GridML, reload it, and plan from the
 	// file: the administrator-publishes-the-mapping workflow of §4.3.
-	_, _, out := ensLyonAutoDeploy(t, true)
-	enc, err := out.Merged.Doc.Encode()
+	out := ensLyonPlan(t)
+	enc, err := out.Mapping.Merged.Doc.Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +286,7 @@ func TestAutoDeployScales(t *testing.T) {
 // the forecaster predicts them — the non-network half of §2's monitoring
 // (CPU load and the time-slice a new process would get).
 func TestCPUForecastEndToEnd(t *testing.T) {
-	_, net, out := ensLyonAutoDeploy(t, false)
+	_, net, out := ensLyonAutoDeploy(t)
 	sim := net.Sim()
 	base := sim.Now()
 	if err := sim.RunUntil(base + 5*time.Minute); err != nil {
@@ -303,24 +325,18 @@ func TestAutoDeployThreeRunsFold(t *testing.T) {
 		sciNames[h] = e.InsideNames[h]
 	}
 	runs := append(ensLyonRuns(e), MapRun{Master: "sci0", Hosts: sciHosts, Names: sciNames})
-	var out *Outcome
-	var err error
-	sim.Go("auto", func() {
-		out, err = simDeploy(net, runs, WithAliases(e.GatewayAliases...), WithPlanOnly())
+	var out *PlanResult
+	runSim(t, net, 2*time.Hour, func() (err error) {
+		out, err = simPlan(net, runs, WithAliases(e.GatewayAliases...))
+		return err
 	})
-	if er := sim.RunUntil(2 * time.Hour); er != nil {
-		t.Fatal(er)
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Same canonical host set as the two-run merge.
 	if len(out.Plan.Hosts) != 14 {
 		t.Fatalf("hosts %d: %v", len(out.Plan.Hosts), out.Plan.Hosts)
 	}
 	// The sci network appears once, not twice.
 	sciNets := 0
-	for _, nw := range out.Merged.Networks {
+	for _, nw := range out.Mapping.Merged.Networks {
 		for _, h := range nw.Hosts {
 			if h == "sci3.popc.private" {
 				sciNets++

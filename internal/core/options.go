@@ -63,7 +63,6 @@ type config struct {
 	replication      int
 	gateways         int
 	pairwiseSwitched bool
-	planOnly         bool
 	autoAliases      bool
 	events           EventFunc
 	tele             *telemetry.Registry
@@ -139,13 +138,6 @@ func WithGateways(n int) Option {
 // relaxation).
 func WithPairwiseSwitched() Option {
 	return func(c *config) { c.pairwiseSwitched = true }
-}
-
-// WithPlanOnly makes Deploy stop after planning and validation, without
-// starting agents. The staged API makes this implicit — just don't call
-// Apply — but the one-shot Deploy keeps it as an option.
-func WithPlanOnly() Option {
-	return func(c *config) { c.planOnly = true }
 }
 
 // WithEventObserver registers the progress observer. Every progress

@@ -230,8 +230,8 @@ func (p *Pipeline) Apply(ctx context.Context, pr *PlanResult) (*deploy.Deploymen
 	return dep, nil
 }
 
-// Deploy chains Map, Plan and Apply (or stops after Plan with
-// WithPlanOnly) and bundles the artifacts as an Outcome.
+// Deploy chains Map, Plan and Apply and bundles the artifacts as an
+// Outcome. To stop after planning, call Map and Plan directly.
 func (p *Pipeline) Deploy(ctx context.Context, runs ...MapRun) (*Outcome, error) {
 	m, err := p.Map(ctx, runs...)
 	if err != nil {
@@ -241,20 +241,16 @@ func (p *Pipeline) Deploy(ctx context.Context, runs ...MapRun) (*Outcome, error)
 	if err != nil {
 		return nil, err
 	}
-	out := &Outcome{
-		Results:    m.Results,
-		Merged:     m.Merged,
-		Plan:       pr.Plan,
-		Validation: pr.Validation,
-		Resolve:    m.Resolve,
-	}
-	if p.cfg.planOnly {
-		return out, nil
-	}
 	dep, err := p.Apply(ctx, pr)
 	if err != nil {
 		return nil, err
 	}
-	out.Deployment = dep
-	return out, nil
+	return &Outcome{
+		Results:    m.Results,
+		Merged:     m.Merged,
+		Plan:       pr.Plan,
+		Validation: pr.Validation,
+		Deployment: dep,
+		Resolve:    m.Resolve,
+	}, nil
 }

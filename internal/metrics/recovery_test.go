@@ -1,11 +1,13 @@
 package metrics
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"nwsenv/internal/simnet"
+	"nwsenv/internal/telemetry"
 	"nwsenv/internal/vclock"
 )
 
@@ -59,10 +61,28 @@ func TestSummarizeRecoveryEmpty(t *testing.T) {
 	}
 }
 
+// TestDurationPercentile: the p95 time-to-repair is the nearest-rank
+// percentile of the repairs in any order, and summarizing leaves the
+// caller's repair slice as it was. The p cases are the ones the
+// report's percentile (telemetry.Percentile over sorted durations)
+// must honour.
 func TestDurationPercentile(t *testing.T) {
 	ds := []time.Duration{
 		40 * time.Second, 10 * time.Second, 30 * time.Second, 20 * time.Second, 50 * time.Second,
 	}
+	var repairs []Repair
+	for _, d := range ds {
+		repairs = append(repairs, Repair{Fault: "f", InjectedAt: time.Minute, DetectedAt: time.Minute,
+			RepairedAt: time.Minute + d, Total: 1})
+	}
+	if got := SummarizeRecovery(repairs, 0).P95TimeToRepair; got != 50*time.Second {
+		t.Fatalf("p95 time-to-repair %v, want 50s", got)
+	}
+	// The input slice must not be reordered.
+	if repairs[0].TimeToRepair() != 40*time.Second || repairs[4].TimeToRepair() != 50*time.Second {
+		t.Fatalf("repairs reordered: %v", repairs)
+	}
+	sorted := slices.Sorted(slices.Values(ds))
 	cases := []struct {
 		p    float64
 		want time.Duration
@@ -75,16 +95,12 @@ func TestDurationPercentile(t *testing.T) {
 		{2, 50 * time.Second},    // p clamped down to 1
 	}
 	for _, c := range cases {
-		if got := DurationPercentile(ds, c.p); got != c.want {
+		if got := telemetry.Percentile(sorted, c.p); got != c.want {
 			t.Fatalf("percentile %v = %v, want %v", c.p, got, c.want)
 		}
 	}
-	if got := DurationPercentile(nil, 0.95); got != 0 {
+	if got := telemetry.Percentile([]time.Duration(nil), 0.95); got != 0 {
 		t.Fatalf("empty percentile %v, want 0", got)
-	}
-	// The input slice must not be reordered.
-	if ds[0] != 40*time.Second || ds[4] != 50*time.Second {
-		t.Fatalf("input mutated: %v", ds)
 	}
 }
 

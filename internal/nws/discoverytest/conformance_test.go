@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"nwsenv/internal/nws/forecast"
 	"nwsenv/internal/nws/gateway"
 	"nwsenv/internal/nws/proto"
 	"nwsenv/internal/query"
@@ -27,40 +26,31 @@ func memoryProbe(r *Rig) QueryFn {
 	}
 }
 
-// forecastProbe asks the deployed forecaster for a prediction: the
-// series→owner resolution under test happens inside the forecaster
-// (its embedded query.Client), and its structured per-series errors
-// travel back as typed wire codes.
+// forecastProbe asks the deployed forecaster for a prediction through a
+// query.Client: the series→owner resolution under test happens inside
+// the forecaster (its embedded query.Client), and its structured
+// per-series errors travel back as typed wire codes. The forecast cache
+// is off, so every probe reaches the forecaster and a cached prediction
+// cannot mask a re-resolution.
 func forecastProbe(r *Rig) QueryFn {
-	fc := forecast.NewClient(r.User, Forecastern)
 	// The forecaster's internal fetch may spend a full call timeout on a
 	// dead backend before replying; the probe must outwait it.
-	fc.Timeout = time.Minute
+	qc := query.New(r.User, NSHost, query.WithForecastTTL(0), query.WithTimeout(time.Minute))
 	return func(series string) error {
-		res, err := fc.BatchForecast([]proto.SeriesRequest{{Series: series}})
-		if err != nil {
-			return err
-		}
-		if got := len(res); got != 1 {
-			return fmt.Errorf("series %s: %d results for 1 query", series, got)
-		}
-		if res[0].Error != "" {
-			return query.CodedError(res[0].Code, res[0].Error)
-		}
-		return nil
+		_, err := qc.Forecast(series, 0)
+		return err
 	}
 }
 
-// gatewayProbe is the end-user path: discover the gateway through the
-// directory, then fetch through it. Discovery failures and per-series
-// failures must both carry the structured query errors.
+// gatewayProbe is the end-user path: connect to the gateways through
+// the directory, then fetch through them. Discovery failures and
+// per-series failures must both carry the structured query errors.
 func gatewayProbe(r *Rig) QueryFn {
 	return func(series string) error {
-		reg, err := gateway.Discover(r.User, NSHost)
+		gc, err := gateway.Connect(r.User, NSHost)
 		if err != nil {
 			return err
 		}
-		gc := gateway.NewClient(r.User, reg.Host)
 		gc.Timeout = time.Minute // the gateway fans out with its own timeouts
 		res, err := gc.FetchMany([]proto.SeriesRequest{{Series: series, Count: 1}})
 		if err != nil {

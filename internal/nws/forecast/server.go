@@ -2,7 +2,6 @@ package forecast
 
 import (
 	"errors"
-	"time"
 
 	"nwsenv/internal/nws/nameserver"
 	"nwsenv/internal/nws/predict"
@@ -14,8 +13,9 @@ import (
 // Server is a running NWS forecaster. Each request follows the four-step
 // flow of §2.1: the client asks the forecaster (1), the forecaster asks
 // the name server which memory server holds the series (2), fetches its
-// history (3), and replies with the battery's prediction (4). Batch
-// requests answer many series in one round-trip.
+// history (3), and replies with the battery's prediction (4). Every
+// request is a MsgBatchForecast answering many series in one
+// round-trip; clients send it through query.Client.
 //
 // Steps 2 and 3 go through an embedded query.Client — the same unified
 // resolution plane every other consumer of the deployment uses — so the
@@ -61,8 +61,6 @@ func (s *Server) Run() {
 			return
 		}
 		switch req.Type {
-		case proto.MsgForecast:
-			s.handleForecast(req)
 		case proto.MsgBatchForecast:
 			s.handleBatchForecast(req)
 		case proto.MsgPing:
@@ -101,38 +99,6 @@ func predictSeries(series string, samples []proto.Sample) proto.ForecastResult {
 	}
 }
 
-func (s *Server) handleForecast(req proto.Message) {
-	// Steps 2+3: resolve the owning memory server and fetch the history
-	// through the query plane.
-	samples, err := s.qc.Fetch(req.Series, s.boundedCount(req.Count))
-	switch {
-	case errors.Is(err, query.ErrSeriesUnknown):
-		s.st.ReplyError(req, "forecaster: unknown series %q", req.Series)
-		return
-	case errors.Is(err, query.ErrDegraded):
-		// A lagging replica's window is still a usable history: predict
-		// from what arrived rather than failing the forecast.
-	case err != nil:
-		s.st.ReplyError(req, "forecaster: fetch: %v", err)
-		return
-	}
-	// Step 4: predict and answer.
-	res := predictSeries(req.Series, samples)
-	if res.Error != "" {
-		s.st.ReplyError(req, "forecaster: %s", res.Error)
-		return
-	}
-	s.st.Reply(req, proto.Message{
-		Type:   proto.MsgForecastReply,
-		Series: req.Series,
-		Value:  res.Value,
-		MAE:    res.MAE,
-		MSE:    res.MSE,
-		Method: res.Method,
-		Count:  res.Count,
-	})
-}
-
 // handleBatchForecast answers a batch: one FetchMany through the
 // query plane resolves every series (bulk directory discovery on a cold
 // cache, a directory outage failing the unresolved remainder at once)
@@ -166,36 +132,4 @@ func (s *Server) handleBatchForecast(req proto.Message) {
 		}
 	}
 	s.st.Reply(req, proto.Message{Type: proto.MsgBatchForecastReply, Forecasts: results})
-}
-
-// Client requests forecasts from a forecaster server.
-type Client struct {
-	St      proto.Port
-	Host    string
-	Timeout time.Duration
-}
-
-// NewClient returns a client for the forecaster on host.
-func NewClient(st proto.Port, host string) *Client {
-	return &Client{St: st, Host: host, Timeout: 10 * time.Second}
-}
-
-// Forecast asks for the next value of series, optionally bounding the
-// history length used.
-func (c *Client) Forecast(series string, history int) (predict.Prediction, error) {
-	reply, err := c.St.Call(c.Host, proto.Message{Type: proto.MsgForecast, Series: series, Count: history}, c.Timeout)
-	if err != nil {
-		return predict.Prediction{}, err
-	}
-	return predict.Prediction{Value: reply.Value, MAE: reply.MAE, MSE: reply.MSE, Method: reply.Method, N: reply.Count}, nil
-}
-
-// BatchForecast asks for many series in one round-trip. Results keep
-// the request order; per-series failures are inline.
-func (c *Client) BatchForecast(reqs []proto.SeriesRequest) ([]proto.ForecastResult, error) {
-	reply, err := c.St.Call(c.Host, proto.Message{Type: proto.MsgBatchForecast, Queries: reqs}, c.Timeout)
-	if err != nil {
-		return nil, err
-	}
-	return reply.Forecasts, nil
 }

@@ -1,6 +1,7 @@
 package forecast
 
 import (
+	"errors"
 	"testing"
 	"time"
 
@@ -8,6 +9,7 @@ import (
 	"nwsenv/internal/nws/nameserver"
 	"nwsenv/internal/nws/predict"
 	"nwsenv/internal/nws/proto"
+	"nwsenv/internal/query"
 	"nwsenv/internal/simnet"
 	"nwsenv/internal/vclock"
 )
@@ -48,8 +50,7 @@ func TestServerForecastsStoredSeries(t *testing.T) {
 		for i := 0; i < 30; i++ {
 			mc.Store("bw.x.y", proto.Sample{At: time.Duration(i) * time.Second, Value: 42})
 		}
-		fc := NewClient(cli, "fc")
-		pred, err = fc.Forecast("bw.x.y", 0)
+		pred, err = query.New(cli, "ns").Forecast("bw.x.y", 0)
 	})
 	if e := sim.RunUntil(time.Hour); e != nil {
 		t.Fatal(e)
@@ -66,13 +67,14 @@ func TestServerUnknownSeries(t *testing.T) {
 	sim, cli := rig(t)
 	var err error
 	sim.Go("test", func() {
-		_, err = NewClient(cli, "fc").Forecast("nothing", 0)
+		sim.Sleep(time.Second) // let the forecaster register
+		_, err = query.New(cli, "ns").Forecast("nothing", 0)
 	})
 	if e := sim.RunUntil(time.Hour); e != nil {
 		t.Fatal(e)
 	}
-	if err == nil {
-		t.Fatal("expected unknown-series error")
+	if !errors.Is(err, query.ErrSeriesUnknown) {
+		t.Fatalf("want ErrSeriesUnknown, got %v", err)
 	}
 }
 
@@ -90,7 +92,7 @@ func TestServerHistoryBound(t *testing.T) {
 		for i := 20; i < 25; i++ {
 			mc.Store("s", proto.Sample{At: time.Duration(i) * time.Second, Value: 90})
 		}
-		pred, err = NewClient(cli, "fc").Forecast("s", 5)
+		pred, err = query.New(cli, "ns").Forecast("s", 5)
 	})
 	if e := sim.RunUntil(time.Hour); e != nil {
 		t.Fatal(e)

@@ -280,15 +280,10 @@ type Client struct {
 	failovers *telemetry.Counter // gateway/client_failovers
 }
 
-// NewClient returns a client for the single gateway on host.
-func NewClient(st proto.Port, host string) *Client {
-	return NewBalancedClient(st, []string{host})
-}
-
-// NewBalancedClient returns a client balancing across the given gateway
+// newClient returns a client balancing across the given gateway
 // replicas. The pool order is the caller's; successive batches start
 // from successive replicas (round-robin) so concurrent clients spread.
-func NewBalancedClient(st proto.Port, hosts []string) *Client {
+func newClient(st proto.Port, hosts []string) *Client {
 	c := &Client{St: st, Timeout: 10 * time.Second, pool: append([]string(nil), hosts...)}
 	if len(c.pool) > 0 {
 		c.Host = c.pool[0]
@@ -383,30 +378,19 @@ func probe(st proto.Port, host string) bool {
 	return err == nil
 }
 
-// Discover finds a deployment's gateway through its name server. The
-// directory can hold stale entries for up to the registration TTL after
-// a planned gateway move (the old agent rebuilds without the role but
-// its entry lives on), so each candidate — in deterministic LookupKind
-// order, concurrent clients agree — is probed with an empty batch and
-// the first one actually serving the role wins.
+// discoverAll finds every live gateway replica of a deployment: the
+// directory's full kind="gateway" listing, each candidate probed with
+// an empty batch, stale entries dropped. The directory can hold stale
+// entries for up to the registration TTL after a planned gateway move
+// (the old agent rebuilds without the role but its entry lives on).
+// The surviving order is LookupKind's deterministic order, so
+// concurrent clients build identical pools.
 //
 // Failures are the query plane's structured errors: an unreachable
 // directory and an answerless candidate list both wrap
 // query.ErrBackendDown, so discovery fits the same errors.Is vocabulary
 // as every other resolution path.
-func Discover(st proto.Port, nsHost string) (proto.Registration, error) {
-	regs, err := DiscoverAll(st, nsHost)
-	if err != nil {
-		return proto.Registration{}, err
-	}
-	return regs[0], nil
-}
-
-// DiscoverAll finds every live gateway replica of a deployment: the
-// directory's full kind="gateway" listing, each candidate probed, stale
-// entries dropped. The surviving order is LookupKind's deterministic
-// order, so concurrent clients build identical pools.
-func DiscoverAll(st proto.Port, nsHost string) ([]proto.Registration, error) {
+func discoverAll(st proto.Port, nsHost string) ([]proto.Registration, error) {
 	regs, err := nameserver.NewClient(st, nsHost).LookupKind("gateway", "")
 	if err != nil {
 		return nil, fmt.Errorf("%w: gateway discovery: name server: %v", query.ErrBackendDown, err)
@@ -427,10 +411,10 @@ func DiscoverAll(st proto.Port, nsHost string) ([]proto.Registration, error) {
 }
 
 // Connect discovers every live gateway replica and returns a balanced
-// client over the full set: the one-call path from "I know the name
-// server" to a failover-capable handle on the query plane.
+// client over the full set: the one way from "I know the name server"
+// to a failover-capable handle on the query plane.
 func Connect(st proto.Port, nsHost string) (*Client, error) {
-	regs, err := DiscoverAll(st, nsHost)
+	regs, err := discoverAll(st, nsHost)
 	if err != nil {
 		return nil, err
 	}
@@ -438,7 +422,7 @@ func Connect(st proto.Port, nsHost string) (*Client, error) {
 	for i, r := range regs {
 		hosts[i] = r.Host
 	}
-	return NewBalancedClient(st, hosts), nil
+	return newClient(st, hosts), nil
 }
 
 // FetchMany answers every requested series in one round-trip to a

@@ -7,12 +7,11 @@ import (
 	"time"
 
 	"nwsenv/internal/nws/clique"
-	"nwsenv/internal/nws/forecast"
-	"nwsenv/internal/nws/memory"
 	"nwsenv/internal/nws/nameserver"
 	"nwsenv/internal/nws/predict"
 	"nwsenv/internal/nws/proto"
 	"nwsenv/internal/nws/sensor"
+	"nwsenv/internal/query"
 	"nwsenv/internal/simnet"
 	"nwsenv/internal/vclock"
 )
@@ -70,8 +69,7 @@ func TestFullSystemSteadyState(t *testing.T) {
 	var samples []proto.Sample
 	var err error
 	sim.Go("query", func() {
-		mc := memory.NewClient(agents[1].Station(), "h0")
-		samples, err = mc.Fetch(sensor.BandwidthSeries("h1", "h2"), 0)
+		samples, err = query.New(agents[1].Station(), "h0").Fetch(sensor.BandwidthSeries("h1", "h2"), 0)
 	})
 	if e := sim.RunUntil(3 * time.Minute); e != nil {
 		t.Fatal(e)
@@ -107,8 +105,7 @@ func TestForecastFourStepFlow(t *testing.T) {
 	var pred predict.Prediction
 	var err error
 	sim.Go("client", func() {
-		fc := forecast.NewClient(agents[2].Station(), "h0")
-		pred, err = fc.Forecast(sensor.BandwidthSeries("h0", "h1"), 0)
+		pred, err = query.New(agents[2].Station(), "h0").Forecast(sensor.BandwidthSeries("h0", "h1"), 0)
 	})
 	if e := sim.RunUntil(4 * time.Minute); e != nil {
 		t.Fatal(e)
@@ -134,8 +131,7 @@ func TestHostSensorSeries(t *testing.T) {
 	}
 	var cpu []proto.Sample
 	sim.Go("query", func() {
-		mc := memory.NewClient(agents[1].Station(), "h0")
-		cpu, _ = mc.Fetch("cpu.h2", 0)
+		cpu, _ = query.New(agents[1].Station(), "h0").Fetch("cpu.h2", 0)
 	})
 	if e := sim.RunUntil(3 * time.Minute); e != nil {
 		t.Fatal(e)
@@ -189,14 +185,43 @@ func TestUndeployedRoleRejected(t *testing.T) {
 	var err error
 	sim.Go("client", func() {
 		// h1 runs no forecaster.
-		fc := forecast.NewClient(agents[0].Station(), "h1")
-		_, err = fc.Forecast("bandwidth.h0.h1", 0)
+		_, err = agents[0].Station().Call("h1", proto.Message{
+			Type: proto.MsgBatchForecast, Queries: []proto.SeriesRequest{{Series: "bandwidth.h0.h1"}},
+		}, 10*time.Second)
 	})
 	if e := sim.RunUntil(time.Minute); e != nil {
 		t.Fatal(e)
 	}
 	if err == nil {
 		t.Fatal("forecast against a host without the role should fail")
+	}
+	for _, a := range agents {
+		a.Stop()
+	}
+}
+
+// TestSingleSeriesReadsRejected: MsgFetch and MsgForecast are
+// enumerators nothing handles. Sent to h0, which runs the memory server
+// and the forecaster, each gets an error reply, not a hang and not an
+// answer.
+func TestSingleSeriesReadsRejected(t *testing.T) {
+	sim, _, agents := deploy(t)
+	errs := map[proto.MsgType]error{}
+	sim.Go("client", func() {
+		for _, typ := range []proto.MsgType{proto.MsgFetch, proto.MsgForecast} {
+			_, errs[typ] = agents[1].Station().Call("h0", proto.Message{
+				Type: typ, Series: sensor.BandwidthSeries("h0", "h1"),
+			}, 10*time.Second)
+		}
+	})
+	if e := sim.RunUntil(time.Minute); e != nil {
+		t.Fatal(e)
+	}
+	for _, typ := range []proto.MsgType{proto.MsgFetch, proto.MsgForecast} {
+		err, done := errs[typ]
+		if !done || err == nil || !strings.Contains(err.Error(), "no role") {
+			t.Errorf("%v: want an error reply naming no role, got %v (answered=%v)", typ, err, done)
+		}
 	}
 	for _, a := range agents {
 		a.Stop()

@@ -130,8 +130,6 @@ func (s *Server) Run() {
 		switch req.Type {
 		case proto.MsgStore:
 			s.handleStore(req)
-		case proto.MsgFetch:
-			s.handleFetch(req)
 		case proto.MsgBatchFetch:
 			s.handleBatchFetch(req)
 		case proto.MsgReplStore:
@@ -231,27 +229,11 @@ func (s *Server) isRegistered(series string) bool {
 	return s.registered[series]
 }
 
-// lastN copies the newest n samples of buf (all of them when n <= 0 or
-// n exceeds the retained window). Callers hold s.mu.
-func lastN(buf []proto.Sample, n int) []proto.Sample {
-	if n <= 0 || n > len(buf) {
-		n = len(buf)
-	}
-	out := make([]proto.Sample, n)
-	copy(out, buf[len(buf)-n:])
-	return out
-}
-
-func (s *Server) handleFetch(req proto.Message) {
-	s.mu.Lock()
-	out := lastN(s.series[req.Series], req.Count)
-	s.mu.Unlock()
-	s.st.Reply(req, proto.Message{Type: proto.MsgFetchReply, Series: req.Series, Samples: out})
-}
-
 // handleBatchFetch answers a batch fetch: every requested series in
-// one round-trip. Unknown series come back empty (like single Fetch);
-// results keep the request order.
+// one round-trip, results in request order. Per series, Count <= 0
+// asks for the full retained window, a Count beyond the window is
+// clamped to it, and an unknown series comes back empty, not as an
+// error.
 func (s *Server) handleBatchFetch(req proto.Message) {
 	results := make([]proto.SeriesResult, len(req.Queries))
 	s.mu.Lock()
@@ -531,7 +513,10 @@ func (s *Server) Restore(r io.Reader) error {
 	return nil
 }
 
-// Client wraps store/fetch calls against a memory server.
+// Client is the raw per-server handle on one memory server: sensors
+// store through it, and tests that run without a directory read through
+// BatchFetch. Readers with a directory use query.Client, which resolves
+// the owning server itself.
 type Client struct {
 	St      proto.Port
 	Host    string // memory server host
@@ -549,20 +534,8 @@ func (c *Client) Store(series string, samples ...proto.Sample) error {
 	return err
 }
 
-// Fetch returns the newest n samples of a series. n <= 0 returns the
-// full retained window (every sample the server still holds under its
-// retention cap); n larger than the window is clamped to it. An unknown
-// series is not an error: it returns an empty slice.
-func (c *Client) Fetch(series string, n int) ([]proto.Sample, error) {
-	reply, err := c.St.Call(c.Host, proto.Message{Type: proto.MsgFetch, Series: series, Count: n}, c.Timeout)
-	if err != nil {
-		return nil, err
-	}
-	return reply.Samples, nil
-}
-
 // BatchFetch returns many series in one round-trip. Results keep
-// the request order; per-series Count semantics match Fetch.
+// the request order; Count semantics are handleBatchFetch's.
 func (c *Client) BatchFetch(reqs []proto.SeriesRequest) ([]proto.SeriesResult, error) {
 	reply, err := c.St.Call(c.Host, proto.Message{Type: proto.MsgBatchFetch, Queries: reqs}, c.Timeout)
 	if err != nil {

@@ -3,6 +3,7 @@ package memory
 import (
 	"bytes"
 	"encoding/gob"
+	"reflect"
 	"testing"
 	"time"
 
@@ -58,6 +59,16 @@ func (r *rigT) run(t *testing.T, fn func(c *Client)) {
 	}
 }
 
+// fetch reads one series through a one-element BatchFetch: the newest
+// n samples (n <= 0: the full retained window).
+func fetch(c *Client, series string, n int) ([]proto.Sample, error) {
+	res, err := c.BatchFetch([]proto.SeriesRequest{{Series: series, Count: n}})
+	if err != nil {
+		return nil, err
+	}
+	return res[0].Samples, nil
+}
+
 func TestStoreFetch(t *testing.T) {
 	r := rig(t, false)
 	r.run(t, func(c *Client) {
@@ -66,7 +77,7 @@ func TestStoreFetch(t *testing.T) {
 			return
 		}
 		c.Store("lat.a.b", proto.Sample{At: 2 * time.Second, Value: 2.5})
-		got, err := c.Fetch("lat.a.b", 0)
+		got, err := fetch(c, "lat.a.b", 0)
 		if err != nil {
 			t.Error(err)
 			return
@@ -83,7 +94,7 @@ func TestFetchLastN(t *testing.T) {
 		for i := 1; i <= 4; i++ {
 			c.Store("s", proto.Sample{At: time.Duration(i) * time.Second, Value: float64(i)})
 		}
-		got, _ := c.Fetch("s", 2)
+		got, _ := fetch(c, "s", 2)
 		if len(got) != 2 || got[0].Value != 3 || got[1].Value != 4 {
 			t.Errorf("got %+v", got)
 		}
@@ -96,7 +107,7 @@ func TestRetentionCap(t *testing.T) {
 		for i := 1; i <= 12; i++ {
 			c.Store("s", proto.Sample{At: time.Duration(i) * time.Second, Value: float64(i)})
 		}
-		got, _ := c.Fetch("s", 0)
+		got, _ := fetch(c, "s", 0)
 		if len(got) != 5 {
 			t.Errorf("retention: kept %d, want 5", len(got))
 			return
@@ -117,7 +128,7 @@ func TestFetchNonPositiveN(t *testing.T) {
 			c.Store("s", proto.Sample{At: time.Duration(i) * time.Second, Value: float64(i)})
 		}
 		for _, n := range []int{0, -1, -100} {
-			got, err := c.Fetch("s", n)
+			got, err := fetch(c, "s", n)
 			if err != nil {
 				t.Errorf("n=%d: %v", n, err)
 				continue
@@ -127,14 +138,14 @@ func TestFetchNonPositiveN(t *testing.T) {
 			}
 		}
 		// n beyond the window clamps instead of erroring.
-		if got, _ := c.Fetch("s", 99); len(got) != 5 {
+		if got, _ := fetch(c, "s", 99); len(got) != 5 {
 			t.Errorf("n=99: got %d samples, want 5", len(got))
 		}
 	})
 }
 
-// TestBatchFetchMatchesSingle: the batch answers exactly what the
-// single-shot path would, per series, in request order.
+// TestBatchFetchMatchesSingle: a multi-series batch answers exactly
+// what a one-series batch would, per series, in request order.
 func TestBatchFetchMatchesSingle(t *testing.T) {
 	r := rig(t, false)
 	r.run(t, func(c *Client) {
@@ -142,9 +153,8 @@ func TestBatchFetchMatchesSingle(t *testing.T) {
 			c.Store("p", proto.Sample{At: time.Duration(i) * time.Second, Value: float64(i)})
 			c.Store("q", proto.Sample{At: time.Duration(i) * time.Second, Value: float64(10 * i)})
 		}
-		res, err := c.BatchFetch([]proto.SeriesRequest{
-			{Series: "q", Count: 2}, {Series: "p", Count: 0}, {Series: "none", Count: 1},
-		})
+		reqs := []proto.SeriesRequest{{Series: "q", Count: 2}, {Series: "p", Count: 0}, {Series: "none", Count: 1}}
+		res, err := c.BatchFetch(reqs)
 		if err != nil {
 			t.Error(err)
 			return
@@ -162,13 +172,19 @@ func TestBatchFetchMatchesSingle(t *testing.T) {
 		if len(res[2].Samples) != 0 || res[2].Error != "" {
 			t.Errorf("unknown series in batch: %+v", res[2])
 		}
+		for i, q := range reqs {
+			single, err := fetch(c, q.Series, q.Count)
+			if err != nil || !reflect.DeepEqual(single, res[i].Samples) {
+				t.Errorf("%s: one-series batch %+v (err %v), multi-series batch %+v", q.Series, single, err, res[i].Samples)
+			}
+		}
 	})
 }
 
 func TestFetchUnknownSeriesEmpty(t *testing.T) {
 	r := rig(t, false)
 	r.run(t, func(c *Client) {
-		got, err := c.Fetch("none", 0)
+		got, err := fetch(c, "none", 0)
 		if err != nil || len(got) != 0 {
 			t.Errorf("got %v err %v", got, err)
 		}

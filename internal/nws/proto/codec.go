@@ -147,10 +147,6 @@ func AppendEncode(buf []byte, m *Message) []byte {
 		}
 		b = appendVarint(b, f.Lag)
 	}
-	b = appendFloat(b, m.Value)
-	b = appendFloat(b, m.MAE)
-	b = appendFloat(b, m.MSE)
-	b = appendString(b, m.Method)
 	b = appendString(b, m.Clique)
 	b = appendVarint(b, m.TokenSeq)
 	b = appendVarint(b, m.Epoch)
@@ -223,7 +219,7 @@ func EncodedSize(m *Message) int {
 			sizeVarint(int64(f.Count)) + sizeString(f.Error) + sizeString(f.Code) +
 			1 + sizeVarint(f.Lag)
 	}
-	n += 24 + sizeString(m.Method) + sizeString(m.Clique) +
+	n += sizeString(m.Clique) +
 		sizeVarint(m.TokenSeq) + sizeVarint(m.Epoch) + sizeVarint(m.Total) +
 		sizeString(m.Code) + sizeVarint(int64(m.RetryAfter))
 	return n
@@ -512,18 +508,6 @@ func Decode(data []byte, m *Message) error {
 				return err
 			}
 		}
-	}
-	if m.Value, err = d.float(); err != nil {
-		return err
-	}
-	if m.MAE, err = d.float(); err != nil {
-		return err
-	}
-	if m.MSE, err = d.float(); err != nil {
-		return err
-	}
-	if m.Method, err = d.str(); err != nil {
-		return err
 	}
 	if m.Clique, err = d.str(); err != nil {
 		return err

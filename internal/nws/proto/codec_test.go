@@ -24,10 +24,7 @@ func codecShapes() []Message {
 		{Type: MsgLookup, From: "h2", ID: 2, Kind: "series", Name: "cpu.h1"},
 		{Type: MsgLookupReply, From: "ns", ID: 3, ReplyTo: 2, Regs: []Registration{reg, {Name: "b"}}},
 		{Type: MsgStore, From: "s", ID: 4, Series: "cpu.h1", Samples: samples},
-		{Type: MsgFetch, From: "c", ID: 5, Series: "cpu.h1", Count: -1},
-		{Type: MsgFetchReply, From: "m", ID: 6, ReplyTo: 5, Series: "cpu.h1", Samples: samples},
-		{Type: MsgForecastReply, From: "f", ID: 8, ReplyTo: 7, Series: "cpu.h1",
-			Value: 0.5, MAE: 0.01, MSE: 0.002, Method: "mean", Count: 16},
+		{Type: MsgRegisterAck, From: "ns", ID: 5, ReplyTo: 4, Count: 3},
 		{Type: MsgToken, From: "h3", ID: 10, Clique: "cl0", TokenSeq: 41, Epoch: 1 << 20},
 		{Type: MsgBatchFetch, From: "gw", ID: 11,
 			Queries: []SeriesRequest{{Series: "cpu.h1", Count: 1}, {Series: "cpu.h2", Count: -2}}},
@@ -65,6 +62,11 @@ func codecShapes() []Message {
 			}},
 		{Type: MsgQueryFetchReply, From: "gw", ID: 23, ReplyTo: 11,
 			Error: "gateway gw overloaded", Code: CodeOverloaded, RetryAfter: 500 * time.Millisecond},
+		// MsgFetch is an enumerator no agent handles; it must still frame
+		// so a stray one reaches dispatch and gets an error reply.
+		{Type: MsgFetch, From: "c", ID: 24, Series: "cpu.h1", Count: -1},
+		{Type: MsgBatchForecast, From: "gw", ID: 25,
+			Queries: []SeriesRequest{{Series: "cpu.h1"}, {Series: "cpu.h2", Count: 4}}},
 	}
 }
 
@@ -107,7 +109,7 @@ func TestDecodeSharedBackingCapPinned(t *testing.T) {
 }
 
 func TestDecodeTruncatedTyped(t *testing.T) {
-	m := codecShapes()[12] // batch fetch reply with samples
+	m := codecShapes()[10] // batch fetch reply with samples
 	enc := AppendEncode(nil, &m)
 	for _, cut := range []int{0, 1, len(enc) / 2, len(enc) - 1} {
 		var back Message

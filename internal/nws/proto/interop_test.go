@@ -89,7 +89,15 @@ func TestInteropV3BothEnds(t *testing.T) {
 
 	interopCall(t, sa, "b")
 
-	flat := reg.Snapshot().Flatten()
+	// The replying side counts its encode after its write returns, so
+	// the reply can arrive before that count lands: wait for it.
+	var flat map[string]float64
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		flat = reg.Snapshot().Flatten()
+		if flat["proto/encode_total{version=3}"] >= 2 || time.Now().After(deadline) {
+			break
+		}
+	}
 	if flat["proto/encode_total{version=3}"] < 2 { // request + reply
 		t.Fatalf("want >=2 v3 encodes, metrics %v", flat)
 	}
@@ -139,6 +147,83 @@ func TestHandshakeRejectsForeignDialers(t *testing.T) {
 		if got, ok := ep.Inbox().TryRecv(); ok {
 			t.Fatalf("%s: rejected dialer delivered %+v", tc.name, got)
 		}
+	}
+}
+
+// TestHelloStallClosed: a dialer that sends 2 of the 5 hello bytes and
+// then stalls is closed by the acceptor once the hello deadline passes,
+// instead of holding a goroutine until it disconnects.
+func TestHelloStallClosed(t *testing.T) {
+	t.Parallel()
+	tr := NewTCPTransport()
+	ep, err := tr.Open("srv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ep.Close()
+	addr, _ := tr.Addr("srv")
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write(hello[:2]); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(helloTimeout + 5*time.Second))
+	var b [1]byte
+	n, err := conn.Read(b[:])
+	if n != 0 || err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("want the stalled connection closed by the acceptor, got n=%d err=%v", n, err)
+	}
+}
+
+// TestSendToSilentListenerFails: a peer that accepts the connection but
+// never answers the hello makes Send return an error once the hello
+// deadline passes, instead of hanging with the connection lock held.
+func TestSendToSilentListenerFails(t *testing.T) {
+	t.Parallel()
+	tr := NewTCPTransport()
+	ep, err := tr.Open("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ep.Close()
+	// Deferred after ep.Close, so it runs first: closing the listener
+	// drops the held connections, which frees a Send that did hang.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		var held []net.Conn
+		defer func() {
+			for _, c := range held {
+				c.Close()
+			}
+		}()
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			held = append(held, c) // accept, read nothing, answer nothing
+		}
+	}()
+	tr.mu.Lock()
+	tr.addrs["silent"] = ln.Addr().String()
+	tr.mu.Unlock()
+
+	done := make(chan error, 1)
+	go func() { done <- ep.Send("silent", Message{Type: MsgPing}) }()
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Fatal("send to a peer that never answered the hello succeeded")
+		}
+	case <-time.After(helloTimeout + 5*time.Second):
+		t.Fatal("send to a silent peer hung past the hello deadline")
 	}
 }
 

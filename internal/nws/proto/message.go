@@ -24,12 +24,12 @@ const (
 	// Time-series storage (memory server).
 	MsgStore
 	MsgStoreAck
-	MsgFetch
-	MsgFetchReply
 
-	// Forecaster.
+	// MsgFetch and MsgForecast are enumerators only: nothing sends or
+	// handles them, and every server answers them with an error reply.
+	// A series is read with MsgBatchFetch or MsgBatchForecast.
+	MsgFetch
 	MsgForecast
-	MsgForecastReply
 
 	// Clique token-ring protocol.
 	MsgToken
@@ -84,8 +84,7 @@ var msgNames = map[MsgType]string{
 	MsgUnregister: "Unregister",
 	MsgLookup:     "Lookup", MsgLookupReply: "LookupReply",
 	MsgStore: "Store", MsgStoreAck: "StoreAck",
-	MsgFetch: "Fetch", MsgFetchReply: "FetchReply",
-	MsgForecast: "Forecast", MsgForecastReply: "ForecastReply",
+	MsgFetch: "Fetch", MsgForecast: "Forecast",
 	MsgToken: "Token", MsgTokenAck: "TokenAck",
 	MsgElection: "Election", MsgElectionOK: "ElectionOK",
 	MsgCoordinator: "Coordinator",
@@ -222,12 +221,6 @@ type Message struct {
 	Queries   []SeriesRequest
 	Results   []SeriesResult
 	Forecasts []ForecastResult
-
-	// Forecast fields.
-	Value  float64
-	MAE    float64
-	MSE    float64
-	Method string
 
 	// Clique fields.
 	Clique   string

@@ -39,13 +39,13 @@ func TestSimCallRoundTrip(t *testing.T) {
 			if !ok {
 				return
 			}
-			sa.Reply(req, Message{Type: MsgPong, Value: req.Value * 2})
+			sa.Reply(req, Message{Type: MsgPong, Total: req.Total * 2})
 		}
 	})
 	var got Message
 	var callErr error
 	sim.Go("client", func() {
-		got, callErr = sb.Call("a", Message{Type: MsgPing, Value: 21}, time.Second)
+		got, callErr = sb.Call("a", Message{Type: MsgPing, Total: 21}, time.Second)
 		sa.Close()
 		sb.Close()
 	})
@@ -55,7 +55,7 @@ func TestSimCallRoundTrip(t *testing.T) {
 	if callErr != nil {
 		t.Fatal(callErr)
 	}
-	if got.Type != MsgPong || got.Value != 42 {
+	if got.Type != MsgPong || got.Total != 42 {
 		t.Fatalf("reply %+v", got)
 	}
 	// Round trip over 2×1ms latency each way: at least 4ms of virtual time.
@@ -204,16 +204,18 @@ func TestTCPTransportRoundTrip(t *testing.T) {
 			if !ok {
 				return
 			}
-			if req.Type == MsgFetch {
-				sa.Reply(req, Message{Type: MsgFetchReply, Samples: []Sample{{At: time.Second, Value: 3.5}}})
+			if req.Type == MsgBatchFetch {
+				sa.Reply(req, Message{Type: MsgBatchFetchReply, Results: []SeriesResult{
+					{Series: "bw.a.b", Samples: []Sample{{At: time.Second, Value: 3.5}}},
+				}})
 			}
 		}
 	}()
-	reply, err := sb.Call("alpha", Message{Type: MsgFetch, Series: "bw.a.b"}, 2*time.Second)
+	reply, err := sb.Call("alpha", Message{Type: MsgBatchFetch, Queries: []SeriesRequest{{Series: "bw.a.b"}}}, 2*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(reply.Samples) != 1 || reply.Samples[0].Value != 3.5 {
+	if len(reply.Results) != 1 || len(reply.Results[0].Samples) != 1 || reply.Results[0].Samples[0].Value != 3.5 {
 		t.Fatalf("reply %+v", reply)
 	}
 	sa.Close()
@@ -234,8 +236,8 @@ func TestTCPUnknownHost(t *testing.T) {
 }
 
 func TestWireSizeGrowsWithSamples(t *testing.T) {
-	small := (&Message{Type: MsgFetchReply}).WireSize()
-	big := (&Message{Type: MsgFetchReply, Samples: make([]Sample, 100)}).WireSize()
+	small := (&Message{Type: MsgStore}).WireSize()
+	big := (&Message{Type: MsgStore, Samples: make([]Sample, 100)}).WireSize()
 	if big <= small {
 		t.Fatalf("wire size small=%d big=%d", small, big)
 	}

@@ -22,7 +22,10 @@ type Runtime interface {
 	NewInbox(name string) Inbox
 }
 
-// Inbox is an unbounded mailbox of messages.
+// Inbox is a mailbox of messages. Its bound depends on the runtime: a
+// simulated inbox buffers without limit, while a real-time inbox holds
+// 1024 messages and Send blocks while it is full, until a receiver
+// takes one or the inbox is closed. Send after Close drops the message.
 type Inbox interface {
 	// Recv blocks until a message arrives; ok=false after Close.
 	Recv() (Message, bool)
@@ -30,7 +33,7 @@ type Inbox interface {
 	RecvTimeout(d time.Duration) (Message, bool)
 	// TryRecv never blocks.
 	TryRecv() (Message, bool)
-	// Send enqueues m.
+	// Send enqueues m, blocking on a full real-time inbox.
 	Send(m Message)
 	// Close releases receivers.
 	Close()

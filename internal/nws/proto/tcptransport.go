@@ -7,6 +7,7 @@ import (
 	"io"
 	"net"
 	"sync"
+	"time"
 
 	"nwsenv/internal/telemetry"
 )
@@ -21,6 +22,13 @@ const wireMagic = "NWS\x01"
 
 // hello is the fixed opening of every outbound connection.
 var hello = append([]byte(wireMagic), V3)
+
+// helloTimeout bounds both sides of the connection check: the acceptor
+// waits this long for the 5-byte hello, the dialer this long to connect
+// and for the 1-byte answer. A silent peer costs one timeout, not a
+// goroutine held until it disconnects, nor every later send to its
+// host stalled behind the dialer's lock.
+const helloTimeout = 3 * time.Second
 
 // TCPTransport delivers messages between hosts over real TCP sockets on
 // the local machine. Host names are mapped to listen addresses by an
@@ -157,12 +165,14 @@ func (e *tcpEndpoint) serveConn(c net.Conn) {
 		e.mu.Unlock()
 	}()
 	var head [len(wireMagic) + 1]byte
+	c.SetDeadline(time.Now().Add(helloTimeout))
 	if _, err := io.ReadFull(c, head[:]); err != nil || string(head[:]) != string(hello) {
 		return
 	}
 	if _, err := c.Write(head[len(wireMagic):]); err != nil {
 		return
 	}
+	c.SetDeadline(time.Time{})
 	e.readFrames(bufio.NewReaderSize(c, 32<<10))
 }
 
@@ -248,10 +258,11 @@ func (e *tcpEndpoint) Send(to string, m Message) error {
 
 // dial connects and runs the hello check. Called with oc.mu held.
 func (e *tcpEndpoint) dial(oc *outConn, addr string) error {
-	c, err := net.Dial("tcp", addr)
+	c, err := net.DialTimeout("tcp", addr, helloTimeout)
 	if err != nil {
 		return err
 	}
+	c.SetDeadline(time.Now().Add(helloTimeout))
 	if _, err := c.Write(hello); err != nil {
 		c.Close()
 		return err
@@ -265,6 +276,7 @@ func (e *tcpEndpoint) dial(oc *outConn, addr string) error {
 		c.Close()
 		return fmt.Errorf("proto: peer answered wire version %d, want %d", vb[0], V3)
 	}
+	c.SetDeadline(time.Time{})
 	oc.conn = c
 	return nil
 }

@@ -15,3 +15,13 @@ func TestWireSizeExactForV3(t *testing.T) {
 		}
 	}
 }
+
+// TestWireSizeEmptyMessage pins the frame layout's fixed cost: an
+// empty Message is 27 one-byte zero fields (every scalar, string
+// length and slice count in Message and its Reg) behind the 4-byte
+// length prefix. A field added to Message moves this number.
+func TestWireSizeEmptyMessage(t *testing.T) {
+	if got := (&Message{}).WireSize(); got != 31 {
+		t.Fatalf("empty Message WireSize = %d, want 31", got)
+	}
+}

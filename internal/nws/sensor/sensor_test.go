@@ -127,9 +127,10 @@ func TestHostSensorStoresRounds(t *testing.T) {
 	var cpu, memv []proto.Sample
 	sim.Go("reader", func() {
 		sim.Sleep(2 * time.Minute)
-		mc := memory.NewClient(stB, "m")
-		cpu, _ = mc.Fetch("cpu.a", 0)
-		memv, _ = mc.Fetch("freeMemory.a", 0)
+		res, _ := memory.NewClient(stB, "m").BatchFetch([]proto.SeriesRequest{{Series: "cpu.a"}, {Series: "freeMemory.a"}})
+		if len(res) == 2 {
+			cpu, memv = res[0].Samples, res[1].Samples
+		}
 	})
 	if err := sim.RunUntil(3 * time.Minute); err != nil {
 		t.Fatal(err)
@@ -206,7 +207,9 @@ func TestCustomTrace(t *testing.T) {
 	var got []proto.Sample
 	sim.Go("reader", func() {
 		sim.Sleep(10 * time.Second)
-		got, _ = memory.NewClient(stB, "m").Fetch("cpu.a", 0)
+		if res, _ := memory.NewClient(stB, "m").BatchFetch([]proto.SeriesRequest{{Series: "cpu.a"}}); len(res) == 1 {
+			got = res[0].Samples
+		}
 	})
 	if err := sim.RunUntil(time.Minute); err != nil {
 		t.Fatal(err)

@@ -86,12 +86,21 @@ func TestFullNWSOverRealTCP(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	client := open("client")
 	defer client.Close()
-	mc := memory.NewClient(client, "mem")
 	series := sensor.BandwidthSeries("h0", "h1")
+	// fetch reads the full retained window with a raw one-series batch.
+	fetch := func() ([]proto.Sample, error) {
+		reply, err := client.Call("mem", proto.Message{
+			Type: proto.MsgBatchFetch, Queries: []proto.SeriesRequest{{Series: series}},
+		}, 10*time.Second)
+		if err != nil || len(reply.Results) != 1 {
+			return nil, err
+		}
+		return reply.Results[0].Samples, nil
+	}
 	var samples []proto.Sample
 	for time.Now().Before(deadline) {
 		var err error
-		samples, err = mc.Fetch(series, 0)
+		samples, err = fetch()
 		if err == nil && len(samples) >= 3 {
 			break
 		}
@@ -108,13 +117,14 @@ func TestFullNWSOverRealTCP(t *testing.T) {
 
 	// §2.1 steps 1-4 over real sockets: client -> forecaster -> name
 	// server -> memory -> prediction.
-	fc := forecast.NewClient(client, "fc")
-	pred, err := fc.Forecast(series, 0)
+	reply, err := client.Call("fc", proto.Message{
+		Type: proto.MsgBatchForecast, Queries: []proto.SeriesRequest{{Series: series}},
+	}, 10*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pred.Value != 94 {
-		t.Fatalf("forecast %+v", pred)
+	if len(reply.Forecasts) != 1 || reply.Forecasts[0].Error != "" || reply.Forecasts[0].Value != 94 {
+		t.Fatalf("forecast %+v", reply.Forecasts)
 	}
 
 	// Registry sanity: the series was advertised.
@@ -131,7 +141,7 @@ func TestFullNWSOverRealTCP(t *testing.T) {
 	before := len(samples)
 	deadline = time.Now().Add(15 * time.Second)
 	for time.Now().Before(deadline) {
-		samples, _ = mc.Fetch(series, 0)
+		samples, _ = fetch()
 		if len(samples) > before+2 {
 			break
 		}

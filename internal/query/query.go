@@ -1,8 +1,8 @@
-// Package query is the unified client facade over a deployed NWS: one
-// query plane in front of the per-service clients. Where the
-// ad-hoc clients (nameserver.Client, memory.Client, forecast.Client)
-// each did a fresh directory lookup and one blocking round-trip per
-// series, a query.Client keeps a TTL'd discovery cache, deduplicates
+// Package query is the unified client facade over a deployed NWS:
+// every series read goes through a query.Client, directly or inside a
+// forecaster or gateway. Where a per-series
+// reader would do a fresh directory lookup and one blocking round-trip
+// per series, a query.Client keeps a TTL'd discovery cache, deduplicates
 // concurrent lookups (singleflight), batches multi-series queries into
 // one round-trip per backend, fans out across backends on a bounded
 // worker pool, caches forecasts per series, and reports failures as

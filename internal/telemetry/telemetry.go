@@ -12,6 +12,7 @@
 package telemetry
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"sort"
@@ -367,17 +368,16 @@ func (s Snapshot) Flatten() map[string]float64 {
 }
 
 // Percentile returns the nearest-rank percentile of an already sorted
-// slice (same convention as metrics.DurationPercentile). Zero on empty.
-func Percentile(sorted []float64, p float64) float64 {
+// slice: the element at rank ceil(p·n), with p clamped to [0, 1] and the
+// rank to at least 1. The zero value on an empty slice. It is the one
+// percentile convention of the repository: histogram snapshots, the
+// deployment report's pair frequencies and the recovery report's
+// time-to-repair all use it, so their percentiles are comparable.
+func Percentile[T cmp.Ordered](sorted []T, p float64) T {
 	if len(sorted) == 0 {
-		return 0
+		var zero T
+		return zero
 	}
-	rank := int(math.Ceil(p * float64(len(sorted))))
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > len(sorted) {
-		rank = len(sorted)
-	}
-	return sorted[rank-1]
+	rank := int(math.Ceil(min(max(p, 0), 1) * float64(len(sorted))))
+	return sorted[max(rank, 1)-1]
 }

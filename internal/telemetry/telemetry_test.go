@@ -98,19 +98,41 @@ func TestInstrumentsAndSnapshot(t *testing.T) {
 	}
 }
 
+// TestPercentileNearestRank: one table for the repository's one
+// percentile, run on both instantiations its callers use (float64 for
+// histograms and pair frequencies, time.Duration for time-to-repair).
 func TestPercentileNearestRank(t *testing.T) {
-	if got := Percentile(nil, 0.95); got != 0 {
-		t.Fatalf("empty percentile = %v", got)
+	ten := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
+	five := []float64{10, 20, 30, 40, 50}
+	cases := []struct {
+		name   string
+		sorted []float64
+		p      float64
+		want   float64
+	}{
+		{"empty", nil, 0.95, 0},
+		{"single", []float64{7}, 0.5, 7},
+		{"p50 of ten", ten, 0.5, 5},
+		{"p99 of ten", ten, 0.99, 10},
+		{"p50 of four is the 2nd", []float64{1, 2, 3, 4}, 0.5, 2},
+		{"p50 of five is the 3rd", five, 0.5, 30},
+		{"p95 of five is the 5th", five, 0.95, 50},
+		{"p1 is the max", five, 1, 50},
+		{"p0 clamps the rank to the min", five, 0, 10},
+		{"p<0 clamps to 0", five, -1, 10},
+		{"p>1 clamps to 1", five, 2, 50},
 	}
-	if got := Percentile([]float64{7}, 0.5); got != 7 {
-		t.Fatalf("single percentile = %v", got)
-	}
-	vals := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	if got := Percentile(vals, 0.5); got != 5 {
-		t.Fatalf("p50 = %v", got)
-	}
-	if got := Percentile(vals, 0.99); got != 10 {
-		t.Fatalf("p99 = %v", got)
+	for _, c := range cases {
+		if got := Percentile(c.sorted, c.p); got != c.want {
+			t.Errorf("%s: float64 percentile %v = %v, want %v", c.name, c.p, got, c.want)
+		}
+		ds := make([]time.Duration, len(c.sorted))
+		for i, v := range c.sorted {
+			ds[i] = time.Duration(v) * time.Second
+		}
+		if got, want := Percentile(ds, c.p), time.Duration(c.want)*time.Second; got != want {
+			t.Errorf("%s: duration percentile %v = %v, want %v", c.name, c.p, got, want)
+		}
 	}
 }
 
